@@ -64,7 +64,7 @@ def sharded_batch_trace() -> list[dict]:
 
     report = sp.trace_report()
     print(f"-> merged report: {report['stats']['traces_finished']} "
-          f"traces across {len(report['shards'])} shards, "
+          f"traces across {sp.n_shards} shards, "
           f"{len(report['latencies'])} span names")
 
     print("\n== fleet metrics registry ==")

@@ -25,11 +25,9 @@ outside the trusted base.
 
 from __future__ import annotations
 
-from _thread import get_ident
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Optional, Protocol, runtime_checkable
 
-from ..errors import CrossShardWrite
 from ..kernel.audit import AuditEvent, AuditLog
 from ..obs import LatencyHistogram
 
@@ -70,25 +68,10 @@ class Metrics:
         #: "request", "data", "persistence", "gateway", ...).
         self._planes: dict[str, Any] = {}
         self._latency: dict[str, LatencyHistogram] = {}
-        #: M13 ownership guard, mirroring ``AuditLog._owner_ident``:
-        #: counters bound to a shard worker refuse cross-thread writes.
-        self._owner_ident: Optional[int] = None
         # fold in anything already logged, then follow the stream
         for event in audit:
             self._ingest(event)
         audit.subscribe(self._ingest)
-
-    def bind_owner(self, ident: Optional[int] = None) -> None:
-        """Bind counter ingestion to one thread (default: the caller).
-
-        Sharded deployments bind each shard's Metrics to the shard's
-        worker thread so a misrouted event increments no counter —
-        it raises :class:`CrossShardWrite` instead."""
-        self._owner_ident = get_ident() if ident is None else ident
-
-    def unbind_owner(self) -> None:
-        """Remove the thread binding (shard teardown, tests)."""
-        self._owner_ident = None
 
     def _attach(self, plane: str, obj: Any) -> "Metrics":
         """Register an observable under ``plane``; returns self so
@@ -97,12 +80,6 @@ class Metrics:
         return self
 
     def _ingest(self, event: AuditEvent) -> None:
-        owner = self._owner_ident
-        if owner is not None and get_ident() != owner:
-            raise CrossShardWrite(
-                f"metrics ingest of {event.category!r} arrived on thread "
-                f"{get_ident()} but these counters are bound to shard "
-                f"worker {owner}: a request was misrouted across shards")
         self._by_category[(event.category, event.allowed)] += 1
         self._by_subject[event.subject] += 1
         if not event.allowed:

@@ -52,14 +52,4 @@ class NotFound(W5Error):
     """A named entity does not exist (or is invisible to the caller)."""
 
 
-class CrossShardWrite(W5Error):
-    """A shard-owned structure was written from the wrong thread.
-
-    Raised by the M13 ownership guards on :class:`AuditLog` and
-    :class:`Metrics` when a record arrives from a thread other than
-    the shard worker the structure is bound to — a misrouted request
-    fails loudly instead of silently corrupting the stream."""
-
-
-__all__ = ["W5Error", "FlowDenied", "WriteDenied", "NotFound",
-           "CrossShardWrite"]
+__all__ = ["W5Error", "FlowDenied", "WriteDenied", "NotFound"]

@@ -22,11 +22,9 @@ context for the in-process W5 stack.
   :class:`~repro.obs.histogram.LatencyHistogram` s, and feeds finished
   traces to an attached :class:`~repro.obs.recorder.FlightRecorder`.
   The active-trace state (open trace, innermost span, fold flag)
-  lives in a per-execution-context :class:`_TraceContext` behind a
-  ``contextvars.ContextVar``, so shard worker threads (M13) each see
-  their own "current span" without locking; spans cache the context
-  object at creation, so the hot close path never touches the
-  contextvar machinery.
+  lives in one :class:`_TraceContext` per tracer; a provider (and so
+  each shard) runs one request at a time on one thread, so a plain
+  attribute is the whole context.
 * :class:`NullTracer` / :data:`NULL_TRACER` — the disabled path.  It
   shares the ``enabled`` flag protocol so hot code can guard with one
   attribute load, and every method returns a preallocated singleton —
@@ -40,7 +38,6 @@ a traced request carries ``trace_id``/``span_id`` in ``extra``.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from time import perf_counter
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
@@ -54,8 +51,8 @@ class TraceContext(NamedTuple):
     """The wire form of an open span: what crosses a shard or
     federation boundary (M16).
 
-    Deliberately tiny and picklable — it rides the thread engine's
-    queue tuples and the fork engine's pipe frames unchanged.  The
+    Deliberately tiny and picklable — it rides the fork engine's pipe
+    frames unchanged.  The
     remote side opens its own root trace under this context
     (:class:`repro.obs.fleet.RemoteCapture`); ``fold`` pins the
     sampling decision so a detail-sampled request is detail-sampled on
@@ -82,14 +79,10 @@ FOLD_EVERY = 16
 
 
 class _TraceContext:
-    """Per-execution-context trace state.
+    """A tracer's active-trace state, reused for every request.
 
-    One instance per (tracer, thread/task) pair, created lazily on the
-    first ``request()`` in that context and reused for every request
-    after it — so the steady-state cost of context isolation is a
-    single ``ContextVar.get`` per span creation, not an allocation.
     ``current`` is the innermost open span; ``trace`` the open trace;
-    ``fold`` whether this context's active trace is detail-sampled.
+    ``fold`` whether the active trace is detail-sampled.
     """
 
     __slots__ = ("trace", "current", "fold")
@@ -97,7 +90,7 @@ class _TraceContext:
     def __init__(self) -> None:
         self.trace: Optional[Trace] = None
         self.current: Optional[Span] = None
-        self.fold = True
+        self.fold = False
 
 
 class Span:
@@ -137,7 +130,7 @@ class Span:
         # read happen here rather than in __enter__, saving a second
         # full method call's worth of work per span on the hot path.
         # The trace carries its _TraceContext, so arming is one plain
-        # attribute store — no ContextVar traffic on span open/close.
+        # attribute store.
         trace.ctx.current = self
         self.start = perf_counter()
 
@@ -248,7 +241,7 @@ class Trace:
                  ctx: _TraceContext) -> None:
         self.trace_id = trace_id
         self.tracer = tracer
-        #: The execution context this trace is open in.  Spans reach
+        #: The tracer's active-trace state.  Spans reach
         #: the mutable current-span slot through it; cleared when the
         #: root closes so a recorded trace doesn't pin the context.
         self.ctx = ctx
@@ -308,15 +301,10 @@ class Trace:
 class Tracer:
     """Owns the active trace and aggregates span latency histograms.
 
-    The active-span "stack" lives in a per-execution-context
-    :class:`_TraceContext` behind a ``ContextVar``, so N shard worker
-    threads can trace through one process concurrently without seeing
-    each other's spans (M13).  Within one context the semantics are
-    exactly the old single-attribute protocol: each span's
-    ``__exit__`` restores its predecessor by plain attribute store.
-    Aggregates (``traces_started``, histograms, the sink) are shared
-    across contexts; their updates are single dict/int ops, atomic
-    under the GIL, and each shard normally owns a whole Tracer anyway.
+    The active-span "stack" lives in one :class:`_TraceContext`:
+    each span's ``__exit__`` restores its predecessor by plain
+    attribute store.  A tracer serves one thread; every shard owns a
+    whole Tracer.
     """
 
     enabled = True
@@ -329,9 +317,8 @@ class Tracer:
         #: always fold, so request-level latency stays exact).  1 means
         #: every span of every trace — what the unit tests use.
         self.fold_every = fold_every
-        #: Per-context trace state (lazily created per thread/task).
-        self._context: ContextVar[Optional[_TraceContext]] = ContextVar(
-            "w5-trace-context", default=None)
+        #: The active-trace state.
+        self._context = _TraceContext()
         self._next_trace = 0
         self._histograms: dict[str, LatencyHistogram] = {}
         #: Called with each finished root trace (FlightRecorder.offer).
@@ -347,18 +334,16 @@ class Tracer:
 
     @property
     def current(self) -> Optional[Span]:
-        """The innermost open span in *this* execution context
-        (public: ``AuditLog.trace_source`` reads it to stamp events)."""
-        ctx = self._context.get()
-        return ctx.current if ctx is not None else None
+        """The innermost open span (public: ``AuditLog.trace_source``
+        reads it to stamp events)."""
+        return self._context.current
 
     @property
     def _fold(self) -> bool:
-        """Is the active trace in this context detail-sampled?  Hot
-        call sites read this as an attribute (it is a plain ``False``
-        class attribute on :class:`NullTracer`)."""
-        ctx = self._context.get()
-        return ctx.fold if ctx is not None else False
+        """Is the active trace detail-sampled?  Hot call sites read
+        this as an attribute (it is a plain ``False`` class attribute
+        on :class:`NullTracer`)."""
+        return self._context.fold
 
     # ------------------------------------------------------------------
     # span creation
@@ -371,11 +356,8 @@ class Tracer:
         provider) degrade gracefully to a child span of the active
         trace rather than starting a second trace.
         """
-        ctx = self._context.get()
-        if ctx is None:
-            ctx = _TraceContext()
-            self._context.set(ctx)
-        elif ctx.trace is not None:
+        ctx = self._context
+        if ctx.trace is not None:
             return self.span(name, **attrs)
         self._next_trace += 1
         self.traces_started += 1
@@ -398,9 +380,7 @@ class Tracer:
         this returns the shared null span, so instrumentation sites
         don't need their own "is a request in flight" checks.
         """
-        ctx = self._context.get()
-        if ctx is None:
-            return _NULL_SPAN
+        ctx = self._context
         trace = ctx.trace
         if trace is None:
             return _NULL_SPAN
@@ -420,8 +400,8 @@ class Tracer:
         flag check.  The first trace always samples, which is what the
         integration tests and the example lean on.
         """
-        ctx = self._context.get()
-        if ctx is None or not ctx.fold:
+        ctx = self._context
+        if not ctx.fold:
             return _NULL_SPAN
         trace = ctx.trace
         if trace is None:
@@ -457,9 +437,7 @@ class Tracer:
         ``RemoteCapture`` window against this context and ships span
         skeletons back for :meth:`graft`.
         """
-        ctx = self._context.get()
-        if ctx is None:
-            return None
+        ctx = self._context
         current = ctx.current
         if current is None:
             return None
@@ -477,9 +455,7 @@ class Tracer:
         close path never sees it.  Outside a trace this is a no-op
         (the skeleton survives in the remote side's own recorder).
         """
-        ctx = self._context.get()
-        if ctx is None:
-            return
+        ctx = self._context
         current = ctx.current
         trace = ctx.trace
         if current is None or trace is None:

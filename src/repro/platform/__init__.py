@@ -1,7 +1,7 @@
 """The W5 meta-application: provider, accounts, registries, app launch."""
 
 from .accounts import UserAccount
-from .config import ProviderConfig, W5DeprecationWarning
+from .config import ProviderConfig
 from .context import AppContext, AppHandler
 from .debug import CrashReport, DebugService
 from .endorsement import EndorsementService
@@ -19,7 +19,7 @@ from .shards import MergedAuditView, ShardedProvider, ShardMap
 
 __all__ = [
     "UserAccount",
-    "ProviderConfig", "W5DeprecationWarning",
+    "ProviderConfig",
     "PlanCache", "RequestPlan",
     "AppContext", "AppHandler",
     "CrashReport", "DebugService", "EndorsementService",

@@ -18,29 +18,16 @@ named presets:
 * :meth:`ProviderConfig.durable` — the fast plane plus incremental
   persistence tuned for journaled restarts.
 
-The *default* ``ProviderConfig()`` mirrors the Provider's historical
-keyword defaults (fast plane on, plans off), so ``Provider()`` built
-with no arguments behaves exactly as it did before this API existed.
-
-The old Provider/W5System keywords still work but emit
-:class:`W5DeprecationWarning`; a dedicated CI job runs the suite with
-that warning promoted to an error so internal callers stay migrated.
+The *default* ``ProviderConfig()`` keeps the fast plane on and plans
+off, so ``Provider()`` built with no arguments runs the interpreted
+request path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any
-
-
-class W5DeprecationWarning(DeprecationWarning):
-    """Deprecation warnings raised by this package's own APIs.
-
-    A subclass so CI can run ``-W error::repro.platform.config.W5DeprecationWarning``
-    without promoting unrelated third-party deprecations.
-    """
 
 
 @dataclass(frozen=True)
@@ -67,11 +54,10 @@ class ProviderConfig:
     #: users across that many full per-shard providers.
     shards: int = 1
     #: Shard execution engine (M13): ``"serial"`` (in-line, the
-    #: deterministic baseline), ``"thread"`` (one worker thread per
-    #: shard), ``"fork"`` (one forked process per shard — the engine
-    #: that actually scales with cores under the GIL), or ``None`` for
-    #: the default (serial at 1 shard, thread above).
-    shard_engine: "str | None" = None
+    #: default at every shard count) or ``"fork"`` (one forked process
+    #: per shard, opt-in: parent-side aliases such as
+    #: ``W5System.resources`` go stale once children fork).
+    shard_engine: str = "serial"
     #: Deferred audit-detail rendering (M14): hot call sites record an
     #: interned template + args tuple; ``detail`` is formatted on first
     #: access.  Byte-identical to eager formatting (args are interned
@@ -135,38 +121,3 @@ class ProviderConfig:
         """Plain-dict view (used by ``Provider.explain`` and tests)."""
         return dataclasses.asdict(self)
 
-
-#: Sentinel distinguishing "caller omitted the deprecated keyword" from
-#: every real value (including None and False).
-_UNSET: Any = object()
-
-#: The deprecated Provider/W5System keywords and the config field each
-#: maps onto.  Order matters only for warning text stability.
-LEGACY_FLAGS = ("fast_request_plane", "recycle_processes",
-                "partitioned_store", "incremental_persistence",
-                "journal_compact_bytes", "request_plans")
-
-
-def resolve_config(config: "ProviderConfig | None",
-                   legacy: dict[str, Any],
-                   owner: str = "Provider") -> ProviderConfig:
-    """Merge deprecated keyword arguments into a ProviderConfig.
-
-    ``legacy`` maps flag name → value-or-``_UNSET``.  Any flag actually
-    supplied emits a :class:`W5DeprecationWarning` and overrides the
-    corresponding config field.  Passing both a config *and* a legacy
-    override is allowed (the override wins) so migrations can proceed
-    one call site at a time.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if supplied:
-        names = ", ".join(sorted(supplied))
-        warnings.warn(
-            f"{owner}({names}=...) keyword(s) are deprecated; pass "
-            f"config=ProviderConfig(...) instead (see ProviderConfig "
-            f"presets .fast()/.naive()/.durable())",
-            W5DeprecationWarning, stacklevel=3)
-    base = config if config is not None else ProviderConfig()
-    if supplied:
-        base = dataclasses.replace(base, **supplied)
-    return base

@@ -32,7 +32,7 @@ from ..net import (Gateway, HttpRequest, HttpResponse, SESSION_COOKIE,
 from ..net.email import EmailGateway
 from ..obs import FlightRecorder, NULL_TRACER, Tracer
 from .accounts import UserAccount
-from .config import ProviderConfig, _UNSET, resolve_config
+from .config import ProviderConfig
 from .context import AppContext
 from .debug import DebugService
 from .endorsement import EndorsementService
@@ -66,28 +66,14 @@ class Provider:
                  resources: Optional[ResourceHook] = None,
                  js_policy: str = "block",
                  rate_limit: Optional[int] = None,
-                 fast_request_plane: Any = _UNSET,
-                 recycle_processes: Any = _UNSET,
-                 partitioned_store: Any = _UNSET,
                  audit_max_events: Optional[int] = None,
-                 incremental_persistence: Any = _UNSET,
-                 journal_compact_bytes: Any = _UNSET,
                  tracing: bool = False,
                  config: Optional[ProviderConfig] = None,
-                 request_plans: Any = _UNSET,
                  session_seed: Optional[int] = None) -> None:
         self.name = name
-        #: The resolved :class:`ProviderConfig`.  The individual flag
-        #: keywords are deprecated aliases that emit
-        #: :class:`~repro.platform.config.W5DeprecationWarning` and
-        #: override the matching config field.
-        config = resolve_config(config, dict(
-            fast_request_plane=fast_request_plane,
-            recycle_processes=recycle_processes,
-            partitioned_store=partitioned_store,
-            incremental_persistence=incremental_persistence,
-            journal_compact_bytes=journal_compact_bytes,
-            request_plans=request_plans), owner="Provider")
+        #: The :class:`ProviderConfig` (default ``ProviderConfig()``).
+        if config is None:
+            config = ProviderConfig()
         self.config = config
         fast_request_plane = config.fast_request_plane
         recycle_processes = config.recycle_processes
@@ -1025,8 +1011,8 @@ class Provider:
         ``router.batch`` span, every trace this shard finishes for the
         sub-batch inherits the router's sampling decision and comes
         back as a skeleton dict for the router to graft — plain
-        picklable data, so the same tuple shape crosses the thread
-        engine's queue and the fork engine's pipe.  Without a context
+        picklable data, so the same tuple shape crosses the fork
+        engine's pipe.  Without a context
         (or with tracing off) it is exactly ``handle_batch`` with an
         empty skeleton list.
         """

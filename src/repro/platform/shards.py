@@ -21,36 +21,25 @@ files, db partitions, grants, plans and journal records are all
 shard-local by construction — shards share **no** mutable state, which
 is what makes concurrent execution trivially linearizable per shard.
 
-**Engines.**  Shard execution is pluggable:
+**Engines.**  Shard execution has two engines:
 
 * ``serial`` — in-line on the caller thread, ascending shard order.
-  The deterministic baseline, and the automatic choice at 1 shard so
-  "sharding off" costs nothing over the classic plane.
-* ``thread`` — one dedicated worker thread per shard with a request
-  queue.  Each shard stays single-threaded (its kernel/caches need no
-  locks) while distinct shards run concurrently.  Under CPython's GIL
-  this overlaps only the interpreter's release points, so it is the
-  *safety* engine: the differential suite proves thread-interleaved
-  execution byte-identical to serial.
+  The deterministic baseline and the default at every shard count.
 * ``fork`` — one forked child process per shard speaking a pickled
-  pipe protocol (batch-oriented).  This is the engine that actually
-  scales with cores under the GIL; ``benchmarks/m13_shards.py``
-  measures it.
+  pipe protocol (batch-oriented), opt-in with ``engine="fork"``.  The
+  engine that scales with cores under the GIL;
+  ``benchmarks/m13_shards.py`` measures it.  Parent-side aliases
+  (``W5System.resources`` is shard 0's manager) go stale once the
+  children fork, which is why it is not the default.
 
 **Deterministic merge.**  Each shard's audit stream is already
 deterministic (per-shard seq order); :class:`MergedAuditView` merges
-the streams by ``(shard, seq)`` — a total order independent of thread
-scheduling — so the merged stream is byte-identical run-to-run and
-engine-to-engine.  ``tests/platform/test_shard_differential.py``
-proves: threaded == serial at every shard count, and a 1-shard
-``ShardedProvider`` == the classic ``ProviderConfig.fast()`` plane,
-responses and audit streams both.
-
-The ownership guards (``AuditLog.bind_owner`` /
-``Metrics.bind_owner``) back-stop the router: the thread engine binds
-each shard's audit log to its worker, so a misrouted cross-shard write
-raises :class:`~repro.errors.CrossShardWrite` instead of interleaving
-two shards' streams.
+the streams by ``(shard, seq)`` — a total order independent of
+process scheduling — so the merged stream is byte-identical
+run-to-run and engine-to-engine.
+``tests/platform/test_shard_differential.py`` proves: fork == serial
+at every shard count, and a 1-shard ``ShardedProvider`` == the classic
+``ProviderConfig.fast()`` plane, responses and audit streams both.
 """
 
 from __future__ import annotations
@@ -59,12 +48,14 @@ import os
 import pickle
 from bisect import bisect_right
 from hashlib import blake2b
+from functools import partial
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..errors import W5Error
 from ..kernel.audit import AuditEvent
 from ..net import SESSION_COOKIE, HttpRequest, HttpResponse
 from ..obs import NULL_TRACER, FlightRecorder, LatencyHistogram, Tracer
+from ..obs.fleet import _worst
 from ..obs.trace import TraceContext
 from .config import ProviderConfig
 from .provider import Provider
@@ -147,26 +138,20 @@ class ShardMap:
 # execution engines
 # ----------------------------------------------------------------------
 
-class _Raised:
-    """A worker-side exception in transit to the caller."""
-
-    __slots__ = ("exc",)
-
-    def __init__(self, exc: BaseException) -> None:
-        self.exc = exc
-
-
-def _resolve(provider: Provider, dotted: str) -> Callable[..., Any]:
-    """``"declass.grant_for"`` → the bound method on ``provider``."""
+def _resolve(provider: Provider, method: Any) -> Callable[..., Any]:
+    """``"declass.grant_for"`` → the bound method on ``provider``; a
+    module-level function ``f(provider, ...)`` → ``f`` bound to it."""
+    if callable(method):
+        return partial(method, provider)
     obj: Any = provider
-    for part in dotted.split("."):
+    for part in method.split("."):
         obj = getattr(obj, part)
     return obj
 
 
 class _SerialEngine:
     """In-line execution, ascending shard order: the deterministic
-    schedule every concurrent engine must reproduce per shard."""
+    schedule the fork engine must reproduce per shard."""
 
     name = "serial"
 
@@ -187,7 +172,7 @@ class _SerialEngine:
                 self.shards[shard].handle_batch_traced(reqs, ctx)
         return responses, skeletons
 
-    def call(self, shard: int, method: str,
+    def call(self, shard: int, method: Any,
              args: tuple = (), kwargs: Optional[dict] = None) -> Any:
         return _resolve(self.shards[shard], method)(*args, **(kwargs or {}))
 
@@ -201,113 +186,6 @@ class _SerialEngine:
 
     def shutdown(self) -> None:
         pass
-
-
-class _ThreadEngine:
-    """One dedicated worker thread per shard.
-
-    Every operation touching shard state — requests *and* control-plane
-    calls — executes on the shard's worker, so each shard remains
-    single-threaded (no locks anywhere in the kernel) while distinct
-    shards overlap.  The worker binds the shard's audit log to itself
-    on startup: any write reaching the shard from another thread is a
-    routing bug and raises :class:`~repro.errors.CrossShardWrite`.
-    """
-
-    name = "thread"
-
-    def __init__(self, shards: list[Provider]) -> None:
-        import queue
-        import threading
-        self.shards = shards
-        self._queues: list[Any] = []
-        self._threads: list[Any] = []
-        for k, shard in enumerate(shards):
-            q: Any = queue.SimpleQueue()
-            t = threading.Thread(target=self._worker, args=(shard, q),
-                                 name=f"w5-shard-{k}", daemon=True)
-            self._queues.append(q)
-            self._threads.append(t)
-            t.start()
-        self._threading = threading
-
-    @staticmethod
-    def _worker(shard: Provider, q: Any) -> None:
-        shard.kernel.audit.bind_owner()
-        while True:
-            item = q.get()
-            if item is None:
-                shard.kernel.audit.unbind_owner()
-                return
-            fn, box, done = item
-            try:
-                box.append(fn())
-            except BaseException as exc:  # transported to the caller
-                box.append(_Raised(exc))
-            done.set()
-
-    def _submit(self, shard: int, fn: Callable[[], Any]) -> tuple:
-        done = self._threading.Event()
-        box: list[Any] = []
-        self._queues[shard].put((fn, box, done))
-        return box, done
-
-    @staticmethod
-    def _wait(box: list, done: Any) -> Any:
-        done.wait()
-        result = box[0]
-        if isinstance(result, _Raised):
-            raise result.exc
-        return result
-
-    def request(self, shard: int, request: HttpRequest) -> HttpResponse:
-        handle = self.shards[shard].handle_request
-        return self._wait(*self._submit(shard, lambda: handle(request)))
-
-    def run_batches(self, groups: dict[int, list[HttpRequest]],
-                    ctx: Optional[TraceContext] = None
-                    ) -> tuple[dict[int, list[HttpResponse]],
-                               dict[int, list[dict]]]:
-        # dispatch every shard's sub-batch before waiting on any: the
-        # fan-out is what overlaps shard execution.  The trace context
-        # rides the submitted closure through the SimpleQueue tuple;
-        # skeletons come back in the same result box as the responses.
-        pending = {
-            shard: self._submit(
-                shard, (lambda h=self.shards[shard].handle_batch_traced,
-                        rs=reqs: h(rs, ctx)))
-            for shard, reqs in sorted(groups.items())}
-        responses: dict[int, list[HttpResponse]] = {}
-        skeletons: dict[int, list[dict]] = {}
-        for shard, p in pending.items():
-            responses[shard], skeletons[shard] = self._wait(*p)
-        return responses, skeletons
-
-    def call(self, shard: int, method: str,
-             args: tuple = (), kwargs: Optional[dict] = None) -> Any:
-        fn = _resolve(self.shards[shard], method)
-        return self._wait(*self._submit(
-            shard, lambda: fn(*args, **(kwargs or {}))))
-
-    def broadcast(self, method: str, args: tuple = (),
-                  kwargs: Optional[dict] = None) -> list[Any]:
-        pending = []
-        for k, shard in enumerate(self.shards):
-            fn = _resolve(shard, method)
-            pending.append(self._submit(
-                k, lambda f=fn: f(*args, **(kwargs or {}))))
-        return [self._wait(*p) for p in pending]
-
-    def audit_events(self, shard: int) -> list[AuditEvent]:
-        # reads are issued between operations (workers idle); the
-        # bind_owner guard covers writes only, by design
-        return list(self.shards[shard].kernel.audit)
-
-    def shutdown(self) -> None:
-        for q in self._queues:
-            q.put(None)
-        for t in self._threads:
-            t.join(timeout=5)
 
 
 def _plain_response(resp: HttpResponse) -> tuple:
@@ -390,7 +268,7 @@ class _ForkEngine:
     def __init__(self, shards: list[Provider]) -> None:
         if not hasattr(os, "fork"):  # pragma: no cover - platform gate
             raise W5Error("the fork shard engine needs os.fork (POSIX); "
-                          "use engine='thread' here")
+                          "use engine='serial' here")
         self.shards = shards
         self._conns: Optional[list[Any]] = None
         self._pids: list[int] = []
@@ -447,7 +325,7 @@ class _ForkEngine:
             skeletons[shard] = skels
         return responses, skeletons
 
-    def call(self, shard: int, method: str,
+    def call(self, shard: int, method: Any,
              args: tuple = (), kwargs: Optional[dict] = None) -> Any:
         if self._conns is None:
             # pre-fork: run in the parent so children inherit the effect
@@ -492,9 +370,24 @@ class _ForkEngine:
 
 _ENGINES: dict[str, Any] = {
     "serial": _SerialEngine,
-    "thread": _ThreadEngine,
     "fork": _ForkEngine,
 }
+
+
+def _shard_placement(shard: Provider, ring: ShardMap,
+                     k: int) -> tuple[int, int]:
+    """``(partitions, misplaced)`` for shard ``k``'s M9 partition keys
+    (runs where the shard lives: in-line, or in its fork child)."""
+    partitions = misplaced = 0
+    for table in shard.db._tables.values():
+        for slabel, ilabel in getattr(table, "partitions", None) or ():
+            partitions += 1
+            # unowned pairs are replicated state, at home anywhere;
+            # owned pairs must live on their ring shard
+            if (any(t.owner for t in slabel)
+                    and ring.shard_of_pair(slabel, ilabel) != k):
+                misplaced += 1
+    return partitions, misplaced
 
 
 # ----------------------------------------------------------------------
@@ -506,9 +399,9 @@ class MergedAuditView:
 
     Within a shard, events are already totally ordered by ``seq``; the
     merge concatenates shard streams in shard order — a deterministic
-    total order independent of worker scheduling, so the merged stream
-    is byte-identical between the serial and concurrent engines on the
-    same per-shard request order.  Exposes the read side of the
+    total order independent of process scheduling, so the merged
+    stream is byte-identical between the serial and fork engines on
+    the same per-shard request order.  Exposes the read side of the
     :class:`~repro.kernel.audit.AuditLog` query API; it is a *view* —
     every read re-merges live shard state.
     """
@@ -616,9 +509,12 @@ class ShardedProvider:
         base = config if config is not None else ProviderConfig.fast()
         if engine is None:
             engine = base.shard_engine
+        if engine not in _ENGINES:
+            raise ValueError(f"unknown shard engine {engine!r} "
+                             f"(have {sorted(_ENGINES)})")
         #: The deployment-level config (records the shard count).
         self.config = base.replace(shards=n_shards, shard_engine=engine)
-        per_shard = base.replace(shards=1, shard_engine=None)
+        per_shard = base.replace(shards=1, shard_engine="serial")
         self.name = name
         self.n_shards = n_shards
         self.map = ShardMap(n_shards, replicas=replicas)
@@ -637,11 +533,6 @@ class ShardedProvider:
                 tracing=tracing,
                 config=per_shard,
                 session_seed=None if k == 0 else _SESSION_SEED + k))
-        if engine is None:
-            engine = "serial" if n_shards == 1 else "thread"
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown shard engine {engine!r} "
-                             f"(have {sorted(_ENGINES)})")
         self.engine_name = engine
         self._engine = _ENGINES[engine](self.shards)
         #: The router's own tracer (M16): cross-shard batches open a
@@ -716,13 +607,14 @@ class ShardedProvider:
         """Fan a burst out across shards (satellite 2).
 
         Requests are grouped by owning shard *preserving per-shard
-        arrival order*, the groups execute concurrently (each through
-        the shard's own M12 ``handle_batch`` shared-plan path), and
-        responses reassemble in request order — so the result is
-        position-for-position identical to sequential dispatch.
+        arrival order*, the groups execute (concurrently under the fork
+        engine), each through the shard's own M12 ``handle_batch``
+        shared-plan path, and responses reassemble in request order —
+        so the result is position-for-position identical to sequential
+        dispatch.  A 1-shard serial deployment skips the router.
         """
         requests = list(requests)
-        if self.n_shards == 1:
+        if self.n_shards == 1 and self.engine_name == "serial":
             self.routed[0] += len(requests)
             return self.shards[0].handle_batch(requests)
         tracer = self.tracer
@@ -883,21 +775,15 @@ class ShardedProvider:
         """Verify data placement against the ring: walk every shard's
         M9 partition keys and check the owning shard derived from the
         interned ``(slabel, ilabel)`` pair is the shard holding it.
-        Serial/thread engines only (reads parent-side state)."""
+        The walk runs inside each shard, so it reads live state under
+        either engine."""
         report: dict[str, Any] = {"shards": self.n_shards,
                                   "partitions": 0, "misplaced": 0}
-        for k, shard in enumerate(self.shards):
-            for table in shard.db._tables.values():
-                partitions = getattr(table, "partitions", None)
-                if not partitions:
-                    continue
-                for slabel, ilabel in partitions:
-                    report["partitions"] += 1
-                    owner_shard = self.map.shard_of_pair(slabel, ilabel)
-                    # unowned pairs are replicated state, at home
-                    # anywhere; owned pairs must live on their ring shard
-                    if any(t.owner for t in slabel) and owner_shard != k:
-                        report["misplaced"] += 1
+        for k in range(self.n_shards):
+            partitions, misplaced = self._engine.call(
+                k, _shard_placement, (self.map, k))
+            report["partitions"] += partitions
+            report["misplaced"] += misplaced
         return report
 
     def trace_report(self) -> dict[str, Any]:
@@ -910,15 +796,14 @@ class ShardedProvider:
         engine's pipe).  ``router`` carries the router tracer's own
         counters and its flight recorder — whose ``router.batch``
         traces are the stitched cross-shard trees, one root per batch
-        with every request's subtree grafted under it.  ``shards`` is
-        the pre-M16 unmerged per-shard broadcast, kept as a deprecated
-        alias for callers that still want the raw per-shard view.
+        with every request's subtree grafted under it.  With tracing
+        off it is ``{"tracing": False}``, as for one provider.
         """
         shard_reports = self._engine.broadcast("trace_report")
         tracing = self.tracer.enabled or bool(
             shard_reports and shard_reports[0].get("tracing"))
         if not tracing:
-            return {"tracing": False, "shards": shard_reports}
+            return {"tracing": False}
         stats = {"traces_started": 0, "traces_finished": 0,
                  "spans_dropped": 0}
         merged: dict[str, LatencyHistogram] = {}
@@ -944,7 +829,6 @@ class ShardedProvider:
                           for name, hist in sorted(merged.items())},
             "histograms": {name: hist.snapshot()
                            for name, hist in sorted(merged.items())},
-            "shards": shard_reports,  # deprecated: unmerged broadcast
         }
         if self.tracer.enabled and self.recorder is not None:
             report["router"] = {"stats": self.tracer.stats(),
@@ -954,11 +838,22 @@ class ShardedProvider:
     def health_report(self) -> dict[str, Any]:
         """Per-shard readiness gauges rolled up (M16): each shard's
         :meth:`Provider.health_report` (journal lag, pool occupancy,
-        plan-cache hit ratio, audit drops) under the worst state."""
-        shard_reports = self._engine.broadcast("health_report")
+        plan-cache hit ratio, audit drops) under the worst state.
+
+        Total: shards are asked one at a time, so a dead fork child
+        leaves no reply queued on a live shard's pipe, and reads
+        ``down`` instead of raising."""
+        shard_reports = []
+        for k in range(self.n_shards):
+            try:
+                shard_reports.append(self._engine.call(k, "health_report"))
+            except (EOFError, OSError) as exc:
+                shard_reports.append({
+                    "state": "down", "gauges": {},
+                    "reasons": [f"shard {k} unreachable: "
+                                f"{type(exc).__name__}"]})
         return {
-            "state": ("degraded" if any(r["state"] != "ok"
-                                        for r in shard_reports) else "ok"),
+            "state": _worst(r["state"] for r in shard_reports),
             "shards": shard_reports,
             "router": {"engine": self.engine_name,
                        "routed": list(self.routed),
@@ -974,7 +869,7 @@ class ShardedProvider:
         }
 
     def shutdown(self) -> None:
-        """Stop workers (threads joined, forked children reaped).
+        """Stop workers (forked children reaped).
         Idempotent; serial deployments are a no-op."""
         self._engine.shutdown()
 

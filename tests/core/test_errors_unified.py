@@ -108,8 +108,7 @@ class TestAliasesUnchanged:
 
     def test_unified_module_exports(self):
         assert set(unified.__all__) == {"W5Error", "FlowDenied",
-                                        "WriteDenied", "NotFound",
-                                        "CrossShardWrite"}
+                                        "WriteDenied", "NotFound"}
 
     def test_session_auth_error_is_w5(self):
         from repro.net.session import AuthError

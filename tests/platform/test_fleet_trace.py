@@ -105,9 +105,11 @@ class TestStitchedTree:
         assert "router.batch" in report["latencies"]
         assert any(name.startswith("POST /app/blog/post")
                    for name in report["latencies"])
-        # the deprecated per-shard alias is still the raw broadcast
-        assert len(report["shards"]) == 2
-        assert all(r["tracing"] for r in report["shards"])
+        # both shards' request histograms merged: one count per post
+        posts = [v["count"] for name, v in report["latencies"].items()
+                 if name.startswith("POST /app/blog/post")]
+        assert sum(posts) == len(USERS)
+        assert "shards" not in report
         # the stitched doc counts every shard-side span it absorbed
         (batch,) = stitched_batches(sp)
         assert batch["n_spans"] > 1 + len(USERS)
@@ -119,13 +121,13 @@ class TestStitchedTree:
         report = sp.trace_report()
         assert report["tracing"] is True
         assert report["stats"]["traces_finished"] >= 1
-        assert len(report["shards"]) == 1
+        assert any(name.startswith("POST /app/blog/post")
+                   for name in report["latencies"])
+        assert set(report["histograms"]) == set(report["latencies"])
 
     def test_tracing_off_report(self):
         sp = ShardedProvider(n_shards=2, engine="serial", tracing=False)
-        assert sp.trace_report() == {
-            "tracing": False,
-            "shards": [{"tracing": False}, {"tracing": False}]}
+        assert sp.trace_report() == {"tracing": False}
 
     def test_health_report_shape(self):
         sp, clients = build_traced(2, "serial")
@@ -136,23 +138,27 @@ class TestStitchedTree:
         assert report["router"]["engine"] == "serial"
 
 
-class TestDeterministicMerge:
-    def test_serial_and_thread_stitch_identically(self):
-        """The graft order is (shard, request-order) — the same
-        deterministic merge as the M13 audit view — so the stitched
-        shape is engine-independent even though the thread engine
-        finishes shards in racy order."""
-        trees = {}
-        for engine in ("serial", "thread"):
-            sp, clients = build_traced(2, engine)
-            sp.handle_batch(cross_shard_batch(sp, clients))
-            (batch,) = stitched_batches(sp)
-            trees[engine] = shape(batch["root"])
-        assert trees["serial"] == trees["thread"]
-
-
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="fork engine needs os.fork")
+
+
+class TestDeterministicMerge:
+    @needs_fork
+    def test_serial_and_fork_stitch_identically(self):
+        """The graft order is (shard, request-order) — the same
+        deterministic merge as the M13 audit view — so the stitched
+        shape is engine-independent even though the fork engine's
+        children finish in racy order."""
+        trees = {}
+        for engine in ("serial", "fork"):
+            sp, clients = build_traced(2, engine)
+            try:
+                sp.handle_batch(cross_shard_batch(sp, clients))
+                (batch,) = stitched_batches(sp)
+                trees[engine] = shape(batch["root"])
+            finally:
+                sp.shutdown()
+        assert trees["serial"] == trees["fork"]
 
 
 @needs_fork

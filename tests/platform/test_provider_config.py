@@ -1,19 +1,17 @@
 """The redesigned Provider configuration API.
 
-ProviderConfig presets, legacy-keyword deprecation (with exact
-equivalence between old and new spellings), config threading through
-W5System and persistence restore, the unified ``Metrics.attach``, and
+ProviderConfig presets, config threading through W5System and
+persistence restore, the unified ``Metrics.attach``, and
 ``Provider.explain`` / the ``plan`` CLI renderer.
 """
 
 import json
-import warnings
 
 import pytest
 
 from repro.core import Metrics, W5System
-from repro.platform import (Provider, ProviderConfig, W5DeprecationWarning,
-                            restore_provider, snapshot_provider)
+from repro.platform import (Provider, ProviderConfig, restore_provider,
+                            snapshot_provider)
 
 
 class TestProviderConfig:
@@ -74,39 +72,6 @@ class TestProviderConfig:
                                         config=ProviderConfig.fast())
         assert restored.config.request_plans
         assert restored.plans.enabled
-
-
-class TestDeprecatedKeywords:
-    def test_legacy_provider_kwarg_warns(self):
-        with pytest.warns(W5DeprecationWarning, match="deprecated"):
-            p = Provider(name="x", partitioned_store=False)
-        assert not p.db.partitioned
-
-    def test_legacy_system_kwarg_warns(self):
-        with pytest.warns(W5DeprecationWarning, match="W5System"):
-            w5 = W5System(name="x", recycle_processes=False)
-        assert not w5.provider.kernel.pool.enabled
-
-    def test_legacy_kwarg_overrides_config(self):
-        with pytest.warns(W5DeprecationWarning):
-            p = Provider(name="x", config=ProviderConfig.fast(),
-                         incremental_persistence=False)
-        assert p.config.request_plans  # config fields kept
-        assert not p.config.incremental_persistence  # override won
-
-    def test_config_alone_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", W5DeprecationWarning)
-            Provider(name="x", config=ProviderConfig())
-            W5System(name="y", config=ProviderConfig.fast())
-
-    def test_every_legacy_flag_still_functions(self):
-        legacy = dict(fast_request_plane=False, recycle_processes=False,
-                      partitioned_store=False, incremental_persistence=False,
-                      journal_compact_bytes=512, request_plans=True)
-        with pytest.warns(W5DeprecationWarning):
-            p = Provider(name="x", **legacy)
-        assert p.config == ProviderConfig(**legacy)
 
 
 class TestMetricsAttach:

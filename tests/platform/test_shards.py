@@ -2,19 +2,17 @@
 
 The differential proofs (byte-identity vs the single-threaded plane)
 live in ``test_shard_differential.py``; this file pins the mechanisms:
-the consistent-hash ring, request routing, the merged audit view, the
-cross-shard ownership guards, and the engines' control-plane surface.
+the consistent-hash ring, request routing, the merged audit view, and
+the engines' control-plane surface.
 """
 
-import threading
+import os
+import signal
 
 import pytest
 
 from repro.apps import install_standard_apps
 from repro.core import W5System
-from repro.core.metrics import Metrics
-from repro.errors import CrossShardWrite
-from repro.kernel.audit import AuditLog
 from repro.net import SESSION_COOKIE, ExternalClient
 from repro.net.http import HttpRequest
 from repro.platform import ProviderConfig, ShardMap, ShardedProvider
@@ -176,54 +174,6 @@ class TestBatchFanOut:
             == [(r.status, r.body) for r in sequential]
 
 
-class TestOwnershipGuards:
-    def test_audit_bound_log_rejects_foreign_thread(self):
-        log = AuditLog()
-        log.bind_owner()
-        log.record("spawn", True, "s", "same-thread ok")
-        failures = []
-
-        def intrude():
-            try:
-                log.record("spawn", True, "s", "cross-thread write")
-            except CrossShardWrite as exc:
-                failures.append(exc)
-
-        t = threading.Thread(target=intrude)
-        t.start()
-        t.join()
-        assert len(failures) == 1
-        assert len(log) == 1  # the stream was not corrupted
-
-    def test_unbind_restores_open_access(self):
-        log = AuditLog()
-        log.bind_owner(ident=12345)  # definitely not this thread
-        with pytest.raises(CrossShardWrite):
-            log.record("spawn", True, "s", "misrouted")
-        log.unbind_owner()
-        log.record("spawn", True, "s", "fine again")
-        assert len(log) == 1
-
-    def test_metrics_guard_rejects_foreign_thread(self):
-        log = AuditLog()
-        metrics = Metrics(log)
-        metrics.bind_owner(ident=12345)
-        with pytest.raises(CrossShardWrite):
-            log.record("export", False, "gateway", "misrouted")
-        metrics.unbind_owner()
-        log.record("export", False, "gateway", "ok")
-        assert metrics.count("export") == 1
-
-    def test_thread_engine_binds_each_shard_log(self):
-        sp, clients = build_sharded(2, engine="thread")
-        assert clients["alice"].get("/app/blog/list").ok
-        # every shard log is bound to its worker; a parent-thread
-        # write is, by definition, a cross-shard violation
-        with pytest.raises(CrossShardWrite):
-            sp.shards[0].kernel.audit.record("spawn", True, "t", "stray")
-        sp.shutdown()
-
-
 class TestMergedAudit:
     def test_merge_orders_by_shard_then_seq(self):
         sp, clients = build_sharded(3)
@@ -247,16 +197,17 @@ class TestMergedAudit:
             len(s.kernel.audit.denials()) for s in sp.shards)
         assert view.last() is not None
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_merge_identical_across_engines(self):
         streams = {}
-        for engine in ("serial", "thread"):
+        for engine in ("serial", "fork"):
             sp, clients = build_sharded(3, engine=engine)
             for u, c in clients.items():
                 assert c.get("/app/blog/post", title=f"t-{u}", body="b").ok
             streams[engine] = [(e.category, e.allowed, e.subject, e.detail)
                                for e in sp.kernel.audit]
             sp.shutdown()
-        assert streams["serial"] == streams["thread"]
+        assert streams["serial"] == streams["fork"]
 
 
 class TestControlPlane:
@@ -292,8 +243,86 @@ class TestControlPlane:
         w5.provider.shutdown()
 
     def test_sharded_preset_round_trips_describe(self):
-        cfg = ProviderConfig.sharded(4, shard_engine="thread")
+        cfg = ProviderConfig.sharded(4, shard_engine="fork")
         desc = cfg.describe()
         assert desc["shards"] == 4
-        assert desc["shard_engine"] == "thread"
+        assert desc["shard_engine"] == "fork"
         assert desc["request_plans"] is True
+
+
+class TestEngineChoice:
+    def test_serial_is_the_default_at_every_shard_count(self):
+        for n in (1, 2, 3):
+            assert ShardedProvider(n_shards=n).engine_name == "serial"
+        w5 = W5System(config=ProviderConfig.sharded(3))
+        assert w5.provider.engine_name == "serial"
+
+    def test_two_engines(self):
+        from repro.platform.shards import _ENGINES
+        assert sorted(_ENGINES) == ["fork", "serial"]
+        with pytest.raises(ValueError):
+            ShardedProvider(n_shards=2, engine="thread")
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="fork engine needs os.fork")
+
+
+def _list_requests(clients):
+    return [HttpRequest("GET", "/app/blog/list", params={"author": u},
+                        cookies=dict(c.cookies))
+            for u, c in clients.items()]
+
+
+@needs_fork
+class TestForkEngine:
+    def test_placement_report_reads_the_children(self):
+        serial, c_serial = build_sharded(2, engine="serial")
+        forked, c_forked = build_sharded(2, engine="fork")
+        try:
+            for sp, clients in ((serial, c_serial), (forked, c_forked)):
+                sp.handle_batch([
+                    HttpRequest("GET", "/app/blog/post",
+                                params={"title": f"t-{u}", "body": "b"},
+                                cookies=dict(c.cookies))
+                    for u, c in clients.items()])
+            report = forked.placement_report()
+            assert report == serial.placement_report()
+            assert report["partitions"] > 0
+            assert report["misplaced"] == 0
+        finally:
+            forked.shutdown()
+
+    def test_one_shard_batch_runs_in_the_child(self):
+        sp, clients = build_sharded(1, engine="fork", users=["alice"])
+        try:
+            assert clients["alice"].get("/app/blog/post", title="t",
+                                        body="b").ok
+            (resp,) = sp.handle_batch(_list_requests(clients))
+            assert resp.status == 200
+            assert resp.body == clients["alice"].get(
+                "/app/blog/list", author="alice").body
+            assert "t" in str(resp.body)
+        finally:
+            sp.shutdown()
+
+    def test_dead_shard_reads_down_and_live_shard_still_answers(self):
+        sp, clients = build_sharded(2, engine="fork")
+        try:
+            before = sp.handle_batch(_list_requests(clients))
+            assert all(r.status == 200 for r in before)
+            dead = sp._engine._pids[1]
+            os.kill(dead, signal.SIGKILL)
+            os.waitpid(dead, 0)
+            report = sp.health_report()
+            assert report["state"] == "down"
+            assert report["shards"][1]["state"] == "down"
+            assert report["shards"][1]["reasons"]
+            assert report["shards"][0]["state"] == "ok"
+            live = next(u for u in USERS if sp.shard_of_user(u) == 0)
+            again = clients[live].get("/app/blog/list", author=live)
+            expected = before[list(clients).index(live)]
+            assert (again.status, again.body) \
+                == (expected.status, expected.body)
+        finally:
+            sp.shutdown()
