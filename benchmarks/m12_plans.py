@@ -74,11 +74,12 @@ def build_deployment(n_users: int, plans: bool) -> tuple[W5System, Any]:
     """The M8 deployment, configured through the M12 config API.
 
     Identical to the M8 builder except the mode switch is
-    ``ProviderConfig.fast()`` (request plans on) vs. the stock
-    ``ProviderConfig()`` (everything else on, plans off) — so the
-    measured delta is planned dispatch alone.
+    ``ProviderConfig.fast()`` (request plans on) vs. the interpreted
+    reference plane ``ProviderConfig(request_plans=False)`` (everything
+    else on) — so the measured delta is planned dispatch alone.
     """
-    config = ProviderConfig.fast() if plans else ProviderConfig()
+    config = (ProviderConfig.fast() if plans
+              else ProviderConfig(request_plans=False))
     w5 = W5System(name=f"m12-{'planned' if plans else 'unplanned'}",
                   config=config, audit_max_events=20_000)
     driver = w5.add_user("user0", apps=("blog",))

@@ -32,11 +32,14 @@ def build_deployment(n_users: int, fast: bool,
     form methods directly (not HTTP) so setup stays proportional to N
     while the *measured* path is the full pipeline.  ``tracing`` turns
     on the M11 span tracer (the M11 overhead bench reuses this exact
-    deployment and request mix).
+    deployment and request mix).  Both modes run the interpreted
+    reference plane (``request_plans=False``): plans would bypass the
+    memo layers this benchmark compares.
     """
     w5 = W5System(name=f"m8-{'fast' if fast else 'slow'}-{n_users}",
                   config=ProviderConfig(fast_request_plane=fast,
-                                        recycle_processes=fast),
+                                        recycle_processes=fast,
+                                        request_plans=False),
                   audit_max_events=20_000, tracing=tracing)
     driver = w5.add_user("user0", apps=("blog",))
     provider = w5.provider

@@ -90,11 +90,11 @@ class ProcessPool:
         if tracer._fold:
             before = self.reuses
             with tracer.detail("kernel.checkout", process=name) as sp:
-                proc = self._checkout(name, slabel, ilabel, caps,
-                                      owner_user)
+                proc = self._checkout_key((name, slabel, ilabel, caps),
+                                          owner_user)
                 sp.annotate(reused=self.reuses > before, pid=proc.pid)
                 return proc
-        return self._checkout(name, slabel, ilabel, caps, owner_user)
+        return self._checkout_key((name, slabel, ilabel, caps), owner_user)
 
     def checkout_planned(self, key: tuple,
                          owner_user: Optional[str] = None) -> Process:
@@ -113,11 +113,6 @@ class ProcessPool:
                 sp.annotate(reused=self.reuses > before, pid=proc.pid)
                 return proc
         return self._checkout_key(key, owner_user)
-
-    def _checkout(self, name: str, slabel: Label, ilabel: Label,
-                  caps: CapabilitySet,
-                  owner_user: Optional[str]) -> Process:
-        return self._checkout_key((name, slabel, ilabel, caps), owner_user)
 
     def _checkout_key(self, key: tuple,
                       owner_user: Optional[str]) -> Process:

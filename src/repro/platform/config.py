@@ -3,24 +3,23 @@
 The Provider constructor accumulated five independent performance
 switches over the M8–M11 milestones (``fast_request_plane``,
 ``recycle_processes``, ``partitioned_store``,
-``incremental_persistence``, ``journal_compact_bytes``) plus the new
+``incremental_persistence``, ``journal_compact_bytes``) plus the
 M12 ``request_plans`` switch.  Each is still meaningful on its own —
 the differential suites toggle them individually — but callers should
 not have to recite six keywords to say "fast" or "naive".
 
-:class:`ProviderConfig` packages them as a frozen dataclass with three
-named presets:
+:class:`ProviderConfig` packages them as a frozen dataclass.  The
+default ``ProviderConfig()`` is the production plane: every
+acceleration on, compiled request plans (M12) included, so
+``Provider()`` built with no arguments dispatches ``/app`` requests
+from plans.  There are two named presets:
 
-* :meth:`ProviderConfig.fast` — every acceleration on, including
-  compiled request plans (M12).  What a production deployment runs.
+* :meth:`ProviderConfig.fast` — the default, named; what the
+  benchmarks ask for explicitly.
 * :meth:`ProviderConfig.naive` — everything off: the paper's semantics
   executed the slow, obviously-correct way.  The differential baseline.
-* :meth:`ProviderConfig.durable` — the fast plane plus incremental
-  persistence tuned for journaled restarts.
 
-The *default* ``ProviderConfig()`` keeps the fast plane on and plans
-off, so ``Provider()`` built with no arguments runs the interpreted
-request path.
+Any other deployment is plain keywords, e.g. ``ProviderConfig(shards=4)``.
 """
 
 from __future__ import annotations
@@ -44,10 +43,11 @@ class ProviderConfig:
     incremental_persistence: bool = True
     #: Journal size (bytes) that triggers compaction into a snapshot.
     journal_compact_bytes: int = 1 << 20
-    #: Compiled per-(app, viewer) request plans (M12).  Off by default:
-    #: plans bypass the individual memo layers, so deployments (and
-    #: tests) that introspect those layers' hit/miss counters opt in.
-    request_plans: bool = False
+    #: Compiled per-(app, viewer) request plans (M12).  On by default;
+    #: ``False`` selects the interpreted reference plane that
+    #: :meth:`naive`, the M8/M11/M12 benchmarks and the plan
+    #: differential suite compare against.
+    request_plans: bool = True
     #: Number of provider shards (M13).  1 means the classic unsharded
     #: plane; >1 makes W5System build a
     #: :class:`~repro.platform.shards.ShardedProvider` that partitions
@@ -80,15 +80,9 @@ class ProviderConfig:
 
     @classmethod
     def fast(cls, **overrides: Any) -> "ProviderConfig":
-        """All accelerations on, including compiled request plans."""
-        return cls(request_plans=True, **overrides)
-
-    @classmethod
-    def sharded(cls, shards: int, **overrides: Any) -> "ProviderConfig":
-        """The fast plane, partitioned across ``shards`` providers."""
-        base: dict[str, Any] = dict(request_plans=True, shards=shards)
-        base.update(overrides)
-        return cls(**base)
+        """All accelerations on, including compiled request plans (the
+        default, named)."""
+        return cls(**overrides)
 
     @classmethod
     def naive(cls, **overrides: Any) -> "ProviderConfig":
@@ -98,18 +92,6 @@ class ProviderConfig:
                     request_plans=False, lazy_audit=False,
                     compiled_transitions=False, batched_charges=False,
                     verdict_slots=False)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def durable(cls, **overrides: Any) -> "ProviderConfig":
-        """The fast plane with incremental persistence pinned on.
-
-        Today this matches the defaults (plans stay opt-in); the preset
-        exists so restart-heavy deployments state their intent and keep
-        journaling even if a future default changes.
-        """
-        base = dict(incremental_persistence=True)
         base.update(overrides)
         return cls(**base)
 

@@ -17,8 +17,7 @@ pair, into one record the dispatch loop reads field by field:
   ``(slabel, ilabel, caps)`` instead of the pid, so fresh processes
   (the tainted-read steady state) reuse them across requests;
 * the viewer's precomputed export authority and the egress audit
-  detail string;
-* whether gateway admission is statically allowed (no rate limit).
+  detail string.
 
 Validity is epoch-guarded by the exact invalidation hooks the four
 memo layers already fire: :class:`LaunchCapIndex.epoch` covers
@@ -60,14 +59,13 @@ class RequestPlan:
 
     __slots__ = ("app_ref", "viewer", "app", "account", "caps",
                  "process_name", "pool_key", "authority", "allow_detail",
-                 "admit_static", "cap_epoch", "auth_epoch", "reg_epoch",
+                 "cap_epoch", "auth_epoch", "reg_epoch",
                  "_verdicts", "_slot_rows", "_slot_pkeys", "_row_memo")
 
     def __init__(self, app_ref: str, viewer: Optional[str],
                  app: "AppModule", account: "Optional[UserAccount]",
                  caps: CapabilitySet, authority: Optional[CapabilitySet],
-                 admit_static: bool, cap_epoch: int, auth_epoch: int,
-                 reg_epoch: int) -> None:
+                 cap_epoch: int, auth_epoch: int, reg_epoch: int) -> None:
         self.app_ref = app_ref
         self.viewer = viewer
         self.app = app
@@ -82,9 +80,6 @@ class RequestPlan:
         #: falls back to the live oracle.
         self.authority = authority
         self.allow_detail = f"allow export to {viewer or 'anonymous'}"
-        #: True iff the gateway had no rate limit at compile time, i.e.
-        #: admit() is a constant True with zero side effects.
-        self.admit_static = admit_static
         self.cap_epoch = cap_epoch
         self.auth_epoch = auth_epoch
         self.reg_epoch = reg_epoch
@@ -226,7 +221,6 @@ class RequestPlan:
                 "precomputed": self.authority is not None,
                 "allow_detail": self.allow_detail,
             },
-            "admission": {"static": self.admit_static},
             "epochs": {"capindex": self.cap_epoch,
                        "authority": self.auth_epoch,
                        "registry": self.reg_epoch},
@@ -304,9 +298,8 @@ class PlanCache:
         authority = None
         if not p.declass._uncacheable:
             authority = p._authority_for(viewer)
-        admit_static = p.gateway.rate_limit is None
         return RequestPlan(app_ref, viewer, app, account, caps, authority,
-                           admit_static, cap_epoch, auth_epoch, reg_epoch)
+                           cap_epoch, auth_epoch, reg_epoch)
 
     def invalidate_all(self, reason: str = "") -> None:
         """Drop every compiled plan (tests; epochs already make stale

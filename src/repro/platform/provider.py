@@ -75,11 +75,6 @@ class Provider:
         if config is None:
             config = ProviderConfig()
         self.config = config
-        fast_request_plane = config.fast_request_plane
-        recycle_processes = config.recycle_processes
-        partitioned_store = config.partitioned_store
-        incremental_persistence = config.incremental_persistence
-        journal_compact_bytes = config.journal_compact_bytes
         #: ``tracing`` switches end-to-end request tracing (repro.obs):
         #: every handle_request builds a span tree through gateway,
         #: kernel, app, db/fs, declassifier and egress; per-span-name
@@ -94,30 +89,8 @@ class Provider:
         else:
             self.tracer = NULL_TRACER
             self.recorder = None
-        #: ``incremental_persistence`` switches the durability journal:
-        #: every durable mutation is appended to a checksummed log and
-        #: ``snapshot_provider(..., incremental=True)`` emits O(dirty)
-        #: deltas against the last full checkpoint, compacting when the
-        #: journal outgrows ``journal_compact_bytes``.  Off, snapshots
-        #: are always the naive full re-serialization (the M10
-        #: benchmark baseline), and crash recovery can only roll back
-        #: to the last full snapshot.
-        self.incremental_persistence = incremental_persistence
-        self.journal_compact_bytes = journal_compact_bytes
-        #: ``fast_request_plane`` switches the O(1) request plane: the
-        #: per-(app, viewer) launch-capability index and the memoized
-        #: export-authority oracle.  Off, every request recomputes both
-        #: from scratch (the M8 benchmark compares the two).
-        self.fast_request_plane = fast_request_plane
-        #: ``partitioned_store`` switches the label-partitioned data
-        #: plane: db queries resolve visibility once per distinct
-        #: ``(slabel, ilabel)`` partition and ``fs.walk`` prunes
-        #: unreadable subtrees with one verdict per child label pair.
-        #: Off, both fall back to the naive per-row / per-node engines
-        #: (the M9 benchmark baseline and differential-test oracle).
-        self.partitioned_store = partitioned_store
         self.kernel = Kernel(namespace=name, resources=resources,
-                             recycle=recycle_processes,
+                             recycle=config.recycle_processes,
                              audit_max_events=audit_max_events,
                              lazy_audit=config.lazy_audit,
                              compiled_transitions=config.compiled_transitions)
@@ -128,8 +101,9 @@ class Provider:
             # log reads tracer.current directly — no callback)
             self.kernel.audit.trace_source = self.tracer
         self.fs = LabeledFileSystem(self.kernel,
-                                    grouped_walk=partitioned_store)
-        self.db = LabeledStore(self.kernel, partitioned=partitioned_store,
+                                    grouped_walk=config.partitioned_store)
+        self.db = LabeledStore(self.kernel,
+                               partitioned=config.partitioned_store,
                                batch_charges=config.batched_charges,
                                verdict_slots=config.verdict_slots)
         # shard k of a ShardedProvider seeds its session RNG with
@@ -139,7 +113,7 @@ class Provider:
         self.sessions = (SessionManager() if session_seed is None
                          else SessionManager(seed=session_seed))
         self.declass = DeclassificationService(
-            self.kernel, cache_authority=fast_request_plane)
+            self.kernel, cache_authority=config.fast_request_plane)
         self.apps = Registry()
         self.modules = self.apps  # one namespace; kinds distinguish
         #: (app, module) dynamic usage edges for the §3.2 code search.
@@ -180,7 +154,8 @@ class Provider:
         from .groups import GroupService
         self.groups = GroupService(self)
         from .capindex import LaunchCapIndex
-        self.capindex = LaunchCapIndex(self, enabled=fast_request_plane)
+        self.capindex = LaunchCapIndex(self,
+                                       enabled=config.fast_request_plane)
         #: Compiled per-(app, viewer) request plans (M12).  The cache
         #: exists regardless of the switch — ``explain()`` can compile
         #: a plan for inspection either way — but dispatch consults it
@@ -191,10 +166,10 @@ class Provider:
         #: /groups) lands in the initial base checkpoint, not the
         #: journal.
         self._durability = None
-        if incremental_persistence:
+        if config.incremental_persistence:
             from .durability import DurabilityManager
             self._durability = DurabilityManager(
-                self, compact_threshold=journal_compact_bytes)
+                self, compact_threshold=config.journal_compact_bytes)
 
     # ------------------------------------------------------------------
     # durability plumbing
@@ -688,41 +663,51 @@ class Provider:
     def run_app(self, app_ref: str, request: HttpRequest,
                 viewer: Optional[str]) -> HttpResponse:
         """Launch an app for one request and return its *internal*
-        (still-labeled) response.  Crashes become a generic 500: "if
-        the platform were to send core dumps to developers, it could
-        wrongly expose users' data" (§3.5), so the traceback goes to
-        the audit log, not the wire.
+        (still-labeled) response — the generic path, taken when no
+        compiled plan serves the request.  It resolves the app, pins
+        the viewer's audited version, checks the integrity policy and
+        checks a process out of the pool; :meth:`_run_handler` does the
+        rest.
         """
         with self.kernel.tracer.detail("app.run", app=app_ref,
                                        viewer=viewer or "anonymous"):
-            return self._run_app(app_ref, request, viewer)
+            app = self.apps.get(app_ref)
+            account = self._accounts.get(viewer)
+            if account is not None:
+                pinned = account.audited_versions.get(app.name)
+                if pinned is not None and "@" not in app_ref:
+                    # the user audited a specific version; run exactly it
+                    app = self.apps.get(f"{app.name}@{pinned}")
+                if account.require_endorsed:
+                    ok_to_launch, missing = self.endorsements.check_app(
+                        self.apps, app, account.module_preferences)
+                    if not ok_to_launch:
+                        self.kernel.audit.record(
+                            A.SPAWN, False, "provider",
+                            f"integrity policy: {app.name} has unendorsed "
+                            f"components {missing} (viewer {viewer})")
+                        return error(403, "application not endorsed")
+            process = self.kernel.pool.checkout(
+                f"app:{app.name}", caps=self.launch_caps(app, viewer),
+                owner_user=viewer)
+            return self._run_handler(app, process, request, viewer)
 
-    def _run_app(self, app_ref: str, request: HttpRequest,
-                 viewer: Optional[str]) -> HttpResponse:
-        app = self.apps.get(app_ref)
-        if viewer is not None and viewer in self._accounts:
-            account = self._accounts[viewer]
-            pinned = account.audited_versions.get(app.name)
-            if pinned is not None and "@" not in app_ref:
-                # the user audited a specific version; run exactly it
-                app = self.apps.get(f"{app.name}@{pinned}")
-            if account.require_endorsed:
-                ok_to_launch, missing = self.endorsements.check_app(
-                    self.apps, app, account.module_preferences)
-                if not ok_to_launch:
-                    self.kernel.audit.record(
-                        A.SPAWN, False, "provider",
-                        f"integrity policy: {app.name} has unendorsed "
-                        f"components {missing} (viewer {viewer})")
-                    return error(403, "application not endorsed")
-        process = self.kernel.pool.checkout(
-            f"app:{app.name}", caps=self.launch_caps(app, viewer),
-            owner_user=viewer)
+    def _run_handler(self, app: AppModule, process: Process,
+                     request: HttpRequest, viewer: Optional[str],
+                     plan: Optional[RequestPlan] = None) -> HttpResponse:
+        """Run ``app``'s handler in ``process`` and release the process.
+
+        The one body for every app request, planned or not.  A ``plan``
+        only binds its partition verdicts to the DbView.  Crashes become
+        a generic 500: "if the platform were to send core dumps to
+        developers, it could wrongly expose users' data" (§3.5), so the
+        traceback goes to the audit log, not the wire.
+        """
         self.kernel.resources.charge(process, "requests", 1)
         ctx = AppContext(self, app,
                          sys=self.kernel.syscalls_for(process),
                          fs=FsView(self.fs, process),
-                         db=DbView(self.db, process),
+                         db=DbView(self.db, process, plan=plan),
                          request=request, viewer=viewer)
         try:
             result = app.handler(ctx)
@@ -781,37 +766,49 @@ class Provider:
         # resolution + rate-limit window), shown on sampled traces.
         # _fold is checked here so the unsampled steady state skips
         # even the detail-span ceremony (kwargs + null-span enter).
-        if self.kernel.tracer._fold:
-            with self.kernel.tracer.detail("gateway.admission") as sp:
+        tracer = self.kernel.tracer
+        if tracer._fold:
+            with tracer.detail("gateway.admission") as sp:
                 session = self.gateway.authenticate(request)
                 viewer = session.username if session else None
                 sp.annotate(user=viewer or "<anonymous>")
-                if not self.gateway.admit(viewer):
+                admitted = self.gateway.admit(viewer)
+                if not admitted:
                     sp.annotate(admitted=False)
-                    return HttpResponse(status=429,
-                                        body={"error": "slow down"})
-            parts = request.path_parts()
-            if self.plans.enabled and len(parts) >= 2 and parts[0] == "app":
-                return self._handle_planned(request, viewer, parts,
-                                            admitted=True)
         else:
             session = self.gateway.authenticate(request)
             viewer = session.username if session else None
-            parts = request.path_parts()
-            if self.plans.enabled and len(parts) >= 2 and parts[0] == "app":
-                # planned dispatch runs (or statically skips) admission
-                # itself; everything else is observable-identical
-                return self._handle_planned(request, viewer, parts)
-            if not self.gateway.admit(viewer):
-                return HttpResponse(status=429,
-                                    body={"error": "slow down"})
-        return self._finish_request(request, viewer, parts)
+            admitted = self.gateway.admit(viewer)
+        if not admitted:
+            return HttpResponse(status=429, body={"error": "slow down"})
+        return self._dispatch(request, viewer, request.path_parts())
 
-    def _finish_request(self, request: HttpRequest, viewer: Optional[str],
-                        parts: list[str]) -> HttpResponse:
-        """Route + egress for an admitted request (the generic plane)."""
+    def _dispatch(self, request: HttpRequest, viewer: Optional[str],
+                  parts: list[str],
+                  plan: Optional[RequestPlan] = None) -> HttpResponse:
+        """Route + egress for every admitted request.
+
+        An ``/app`` request runs from its compiled plan when plans are
+        on (:meth:`handle_batch` may pass one in, already re-checked);
+        everything else, and every request the plan cache bypasses,
+        takes :meth:`_route`.  A plan only replaces pure recomputation
+        (app resolution, launch caps, pool key, export authority), so
+        both ways emit the same audit events, charges and responses.
+        """
         try:
-            internal = self._route(request, viewer, parts)
+            if (plan is None and self.plans.enabled and len(parts) >= 2
+                    and parts[0] == "app"):
+                plan = self._lookup_plan(parts[1], viewer)
+            if plan is None:
+                internal = self._route(request, viewer, parts)
+            else:
+                with self.kernel.tracer.detail(
+                        "app.run", app=parts[1],
+                        viewer=viewer or "anonymous"):
+                    process = self.kernel.pool.checkout_planned(
+                        plan.pool_key, viewer)
+                    internal = self._run_handler(plan.app, process,
+                                                 request, viewer, plan)
         except (NoSuchApp, NoSuchUser):
             internal = error(404, "not found")
         except NotAuthorized:
@@ -829,13 +826,16 @@ class Provider:
                 f"route crashed with {type(exc).__name__}")
             internal = error(500, "internal error")
         js_policy = None
-        if viewer is not None and viewer in self._accounts:
-            js_policy = self._accounts[viewer].js_policy or None
+        account = (plan.account if plan is not None
+                   else self._accounts.get(viewer))
+        if account is not None:
+            js_policy = account.js_policy or None
+        if plan is not None and plan.authority is not None \
+                and plan.auth_epoch == self.declass.authority_epoch:
+            return self.gateway.egress_planned(
+                internal, viewer, js_policy, plan.authority,
+                plan.allow_detail)
         return self.gateway.egress(internal, viewer, js_policy=js_policy)
-
-    # ------------------------------------------------------------------
-    # the compiled plane (M12): plan lookup + planned dispatch
-    # ------------------------------------------------------------------
 
     def _lookup_plan(self, app_ref: str,
                      viewer: Optional[str]) -> Optional[RequestPlan]:
@@ -852,108 +852,6 @@ class Provider:
                 return plan
         return plans.lookup(app_ref, viewer)
 
-    def _handle_planned(self, request: HttpRequest, viewer: Optional[str],
-                        parts: list[str], admitted: bool = False,
-                        plan: Optional[RequestPlan] = None) -> HttpResponse:
-        """The planned front door for ``/app/...`` requests.
-
-        Observable-identical to :meth:`_finish_request` on the same
-        input: the same audit events, charges and responses, with the
-        pure recomputation (app resolution, launch caps, pool key,
-        authority) read from the compiled plan instead.  ``plan`` may
-        be passed pre-validated by :meth:`handle_batch`; account policy
-        that never bumps an epoch (integrity requirement, audited pins)
-        is re-checked live either way.
-        """
-        if not admitted and self.gateway.rate_limit is not None:
-            # with a rate limit configured admission has observables
-            # (window counts, 429s, audit) and must run exactly as the
-            # generic plane does; without one, admit() is a constant
-            # True with no side effects — the plan's static verdict.
-            if not self.gateway.admit(viewer):
-                return HttpResponse(status=429, body={"error": "slow down"})
-        if plan is not None:
-            account = plan.account
-            if account is not None and (account.require_endorsed
-                                        or account.audited_versions):
-                plan = None  # stale hint; re-resolve (and bypass) below
-        try:
-            if plan is None:
-                plan = self._lookup_plan(parts[1], viewer)
-            if plan is None:
-                internal = self._route(request, viewer, parts)
-            else:
-                with self.kernel.tracer.detail(
-                        "app.run", app=parts[1],
-                        viewer=viewer or "anonymous"):
-                    internal = self._run_planned(plan, request, viewer)
-        except (NoSuchApp, NoSuchUser):
-            internal = error(404, "not found")
-        except NotAuthorized:
-            internal = error(403, "forbidden")
-        except (PlatformError, AuthError) as exc:
-            internal = error(400, str(exc))
-        except (ValueError, TypeError, KeyError):
-            internal = error(400, "bad request")
-        except Exception as exc:  # noqa: BLE001 - the front door is total
-            self.kernel.audit.record(
-                A.EXIT, False, "provider",
-                f"route crashed with {type(exc).__name__}")
-            internal = error(500, "internal error")
-        js_policy = None
-        if viewer is not None:
-            account = plan.account if plan is not None \
-                else self._accounts.get(viewer)
-            if account is not None:
-                js_policy = account.js_policy or None
-        if plan is not None and plan.authority is not None \
-                and plan.auth_epoch == self.declass.authority_epoch:
-            return self.gateway.egress_planned(
-                internal, viewer, js_policy, plan.authority,
-                plan.allow_detail)
-        return self.gateway.egress(internal, viewer, js_policy=js_policy)
-
-    def _run_planned(self, plan: RequestPlan, request: HttpRequest,
-                     viewer: Optional[str]) -> HttpResponse:
-        """:meth:`_run_app` with the pure prefix read from the plan.
-
-        Process lifecycle, charges and every audit record are the
-        ordinary kernel paths — a plan only skips recomputing what it
-        already proved (resolution, caps, pool key, partition
-        verdicts via the DbView binding).
-        """
-        process = self.kernel.pool.checkout_planned(plan.pool_key, viewer)
-        self.kernel.resources.charge(process, "requests", 1)
-        app = plan.app
-        ctx = AppContext(self, app,
-                         sys=self.kernel.syscalls_for(process),
-                         fs=FsView(self.fs, process),
-                         db=DbView(self.db, process, plan=plan),
-                         request=request, viewer=viewer)
-        try:
-            result = app.handler(ctx)
-        except LabelError:
-            self.kernel.audit.record(
-                A.EXPORT, False, plan.process_name,
-                "killed by label violation")
-            return error(403, "forbidden")
-        except Exception as exc:
-            self.debug.record_crash(app, exc)
-            self.kernel.audit.record(
-                A.EXIT, False, plan.process_name,
-                f"crashed with {type(exc).__name__}")
-            return error(500, "application error")
-        finally:
-            taint = process.slabel
-            self.kernel.pool.release(process)
-        if isinstance(result, HttpResponse):
-            result.content_label = result.content_label | taint
-            result.set_cookies.update(ctx.set_cookies)
-            return result
-        return HttpResponse(status=200, body=result,
-                            set_cookies=dict(ctx.set_cookies),
-                            content_label=taint)
-
     def handle_batch(self, requests: list[HttpRequest]
                      ) -> list[HttpResponse]:
         """Handle N requests with one plan lookup per distinct
@@ -963,42 +861,41 @@ class Provider:
         N separate :meth:`handle_request` calls.  Plan validity is
         re-stamped per request (three integer compares), so a request
         that edits policy mid-batch retires the shared plan for the
-        requests behind it.  With plans disabled or tracing enabled
-        the batch degrades to the ordinary per-request pipeline.
+        requests behind it; account policy that never bumps an epoch
+        (integrity requirement, audited pins) is re-checked live.  With
+        plans disabled or tracing enabled the batch degrades to the
+        ordinary per-request pipeline.
         """
         plans = self.plans
         if not plans.enabled or self.kernel.tracer.enabled:
             return [self.handle_request(r) for r in requests]
         responses = []
-        shared: dict[tuple[str, Optional[str]], RequestPlan] = {}
+        shared: dict[tuple[str, Optional[str]], Optional[RequestPlan]] = {}
         for request in requests:
             session = self.gateway.authenticate(request)
             viewer = session.username if session else None
+            if not self.gateway.admit(viewer):
+                responses.append(HttpResponse(
+                    status=429, body={"error": "slow down"}))
+                continue
             parts = request.path_parts()
+            plan = None
             if len(parts) >= 2 and parts[0] == "app":
                 key = (parts[1], viewer)
                 plan = shared.get(key)
-                if plan is not None and not plan.is_current(self):
-                    del shared[key]
-                    plan = None
-                if plan is None and key not in shared:
+                if plan is not None and plan.is_current(self):
+                    account = plan.account
+                    if account is not None and (account.require_endorsed
+                                                or account.audited_versions):
+                        plan = None  # _dispatch re-resolves (and bypasses)
+                else:
                     try:
-                        plan = plans.lookup(parts[1], viewer)
+                        plan = shared[key] = plans.lookup(parts[1], viewer)
                     except Exception:
-                        # resolution errors re-raise identically on the
-                        # per-request path below
+                        # resolution errors re-raise identically inside
+                        # _dispatch's exception ladder
                         plan = None
-                    if plan is not None:
-                        shared[key] = plan
-                responses.append(self._handle_planned(
-                    request, viewer, parts, plan=plan))
-            else:
-                if not self.gateway.admit(viewer):
-                    responses.append(HttpResponse(
-                        status=429, body={"error": "slow down"}))
-                    continue
-                responses.append(
-                    self._finish_request(request, viewer, parts))
+            responses.append(self._dispatch(request, viewer, parts, plan))
         return responses
 
     def handle_batch_traced(self, requests: list[HttpRequest],

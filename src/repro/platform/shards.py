@@ -39,7 +39,7 @@ process scheduling — so the merged stream is byte-identical
 run-to-run and engine-to-engine.
 ``tests/platform/test_shard_differential.py`` proves: fork == serial
 at every shard count, and a 1-shard ``ShardedProvider`` == the classic
-``ProviderConfig.fast()`` plane, responses and audit streams both.
+unsharded plane, responses and audit streams both.
 """
 
 from __future__ import annotations
@@ -293,36 +293,64 @@ class _ForkEngine:
         self._conns = conns
         return conns
 
-    @staticmethod
-    def _rpc(conn: Any, op: tuple) -> Any:
-        conn.send(op)
-        return _ForkEngine._recv(conn)
+    def _send(self, shard: int, op: tuple) -> None:
+        conn = self._conns[shard]
+        try:
+            conn.send(op)
+        except OSError:
+            conn.close()  # every later call fails fast: shard reads down
+            raise
 
-    @staticmethod
-    def _recv(conn: Any) -> Any:
-        status, payload = conn.recv()
+    def _recv(self, shard: int) -> Any:
+        conn = self._conns[shard]
+        try:
+            status, payload = conn.recv()
+        except (EOFError, OSError):
+            conn.close()
+            raise
         if status == "err":
             raise payload
         return payload
 
+    def _rpc(self, shard: int, op: tuple) -> Any:
+        self._send(shard, op)
+        return self._recv(shard)
+
     def request(self, shard: int, request: HttpRequest) -> HttpResponse:
-        conn = self._ensure_started()[shard]
-        return _rebuild_response(self._rpc(conn, ("request", request)))
+        self._ensure_started()
+        return _rebuild_response(self._rpc(shard, ("request", request)))
 
     def run_batches(self, groups: dict[int, list[HttpRequest]],
                     ctx: Optional[TraceContext] = None
                     ) -> tuple[dict[int, list[HttpResponse]],
                                dict[int, list[dict]]]:
-        conns = self._ensure_started()
-        ordered = sorted(groups.items())
-        for shard, reqs in ordered:  # fan out first: children overlap
-            conns[shard].send(("batch", reqs, ctx))
+        """Fan every group out, then collect the replies.
+
+        A failure is re-raised only after every shard already sent to
+        has answered, so no reply stays queued on a live shard's pipe
+        to be misread by its next call."""
+        self._ensure_started()
+        sent = []
+        failure: Optional[BaseException] = None
+        for shard, reqs in sorted(groups.items()):
+            try:  # fan out first: children overlap
+                self._send(shard, ("batch", reqs, ctx))
+            except OSError as exc:
+                failure = exc
+                break
+            sent.append(shard)
         responses: dict[int, list[HttpResponse]] = {}
         skeletons: dict[int, list[dict]] = {}
-        for shard, _ in ordered:
-            plain, skels = self._recv(conns[shard])
+        for shard in sent:
+            try:
+                plain, skels = self._recv(shard)
+            except Exception as exc:
+                failure = failure or exc
+                continue
             responses[shard] = [_rebuild_response(t) for t in plain]
             skeletons[shard] = skels
+        if failure is not None:
+            raise failure
         return responses, skeletons
 
     def call(self, shard: int, method: Any,
@@ -331,33 +359,30 @@ class _ForkEngine:
             # pre-fork: run in the parent so children inherit the effect
             return _resolve(self.shards[shard], method)(
                 *args, **(kwargs or {}))
-        return self._rpc(self._conns[shard],
-                         ("call", method, args, kwargs or {}))
+        return self._rpc(shard, ("call", method, args, kwargs or {}))
 
     def broadcast(self, method: str, args: tuple = (),
                   kwargs: Optional[dict] = None) -> list[Any]:
-        if self._conns is None:
-            return [_resolve(s, method)(*args, **(kwargs or {}))
-                    for s in self.shards]
-        for conn in self._conns:
-            conn.send(("call", method, args, kwargs or {}))
-        return [self._recv(conn) for conn in self._conns]
+        # one shard at a time, as health_report asks: a shard that
+        # fails leaves no reply queued behind it on another pipe
+        return [self.call(k, method, args, kwargs)
+                for k in range(len(self.shards))]
 
     def audit_events(self, shard: int) -> list[AuditEvent]:
         if self._conns is None:
             return list(self.shards[shard].kernel.audit)
-        rows = self._rpc(self._conns[shard], ("audit",))
+        rows = self._rpc(shard, ("audit",))
         return [AuditEvent(seq, category, allowed, subject, detail)
                 for seq, category, allowed, subject, detail in rows]
 
     def shutdown(self) -> None:
         if self._conns is None:
             return
-        for conn in self._conns:
+        for k, conn in enumerate(self._conns):
             try:
-                self._rpc(conn, ("stop",))
+                self._rpc(k, ("stop",))
                 conn.close()
-            except (EOFError, OSError, BrokenPipeError):
+            except (EOFError, OSError):
                 pass
         for pid in self._pids:
             try:
@@ -506,7 +531,7 @@ class ShardedProvider:
                  replicas: int = 64) -> None:
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        base = config if config is not None else ProviderConfig.fast()
+        base = config if config is not None else ProviderConfig()
         if engine is None:
             engine = base.shard_engine
         if engine not in _ENGINES:

@@ -279,7 +279,7 @@ class TestObservability:
         provider back but leaves the link degraded (stale cursors)
         until one sync round re-attaches them."""
         fabric = FederationFabric(
-            2, provider_config=ProviderConfig.durable())
+            2, provider_config=ProviderConfig(incremental_persistence=True))
         home = fabric.signup("bob", "pw")
         fabric.mirror("bob", 1 - home)
         fabric.store_user_data("bob", "f", "v1")

@@ -16,13 +16,15 @@ account deletion (cap-index epoch), upload/fork (registry epoch), and
 a journal-replay restore (which rewires tag identity wholesale).
 """
 
+import dataclasses
 import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.blog import blog
 from repro.core import W5System
-from repro.net import HttpRequest
+from repro.net import HttpRequest, HttpResponse
 from repro.platform import ProviderConfig
 from repro.resources.containers import KINDS
 
@@ -36,12 +38,19 @@ M14_NAIVE = {flag: False for flag in M14_FLAGS}
 
 
 def build_deployment(planned: bool) -> W5System:
-    config = ProviderConfig.fast() if planned else ProviderConfig()
+    config = ProviderConfig(request_plans=planned)
     w5 = W5System(name="plans", config=config)
     for user in USERS:
         w5.add_user(user, apps=APPS)
     w5.befriend("alice", "bob")
     return w5
+
+
+def blog_v2(ctx):
+    """blog 2.0: the same app, with replies a reader can tell apart
+    from 1.0's, so running the wrong version shows in the response."""
+    result = blog(ctx)
+    return result if isinstance(result, HttpResponse) else {"v2": result}
 
 
 def apply_op(w5: W5System, op) -> tuple:
@@ -87,25 +96,61 @@ def apply_op(w5: W5System, op) -> tuple:
             return ("skip",)
         w5.unfriend(a, b)
         return ("unfriended",)
+    elif kind == "pin":
+        # audited pins and the integrity policy never bump a plan
+        # epoch: they force the generic fallback inside a planned plane
+        _, ui = op
+        w5.provider.pin_audited(USERS[ui % len(USERS)], "blog", "1.0")
+        return ("pinned",)
+    elif kind == "unpin":
+        _, ui = op
+        w5.provider.unpin_audited(USERS[ui % len(USERS)], "blog")
+        return ("unpinned",)
+    elif kind == "integrity":
+        _, ui, on = op
+        r = w5.client(USERS[ui % len(USERS)]).post(
+            "/policy/integrity", params={"require_endorsed": on})
+    elif kind == "upload":
+        apps = w5.provider.apps
+        if "2.0" in apps.versions("blog"):
+            return ("skip",)
+        w5.provider.register_app(dataclasses.replace(
+            apps.get("blog"), version="2.0", handler=blog_v2))
+        return ("uploaded",)
+    elif kind == "endorse":
+        w5.provider.endorse_module("blog")
+        return ("endorsed",)
     else:
         return ("noop",)
     return (r.status, r.body)
 
 
-def ops():
-    post = st.tuples(st.just("post"), st.integers(0, 2), st.integers(0, 3))
-    read = st.tuples(st.just("read"), st.integers(0, 2), st.integers(0, 2),
-                     st.integers(0, 3))
-    list_ = st.tuples(st.just("list"), st.integers(0, 2), st.integers(0, 2))
-    anon = st.tuples(st.just("anon"))
-    missing = st.tuples(st.just("missing"), st.integers(0, 2))
-    toggle = st.tuples(st.just("toggle"), st.integers(0, 2), st.booleans())
-    befriend = st.tuples(st.just("befriend"), st.integers(0, 2),
-                         st.integers(0, 2))
-    unfriend = st.tuples(st.just("unfriend"), st.integers(0, 2),
-                         st.integers(0, 2))
-    return st.lists(st.one_of(post, read, list_, anon, missing, toggle,
-                              befriend, unfriend), max_size=25)
+def ops(*kinds: str):
+    """Random op sequences; ``kinds`` narrows the mix (default: all)."""
+    users = st.integers(0, 2)
+    mix = {
+        "post": st.tuples(st.just("post"), users, st.integers(0, 3)),
+        "read": st.tuples(st.just("read"), users, users, st.integers(0, 3)),
+        "list": st.tuples(st.just("list"), users, users),
+        "anon": st.tuples(st.just("anon")),
+        "missing": st.tuples(st.just("missing"), users),
+        "toggle": st.tuples(st.just("toggle"), users, st.booleans()),
+        "befriend": st.tuples(st.just("befriend"), users, users),
+        "unfriend": st.tuples(st.just("unfriend"), users, users),
+        "pin": st.tuples(st.just("pin"), users),
+        "unpin": st.tuples(st.just("unpin"), users),
+        "integrity": st.tuples(st.just("integrity"), users, st.booleans()),
+        "upload": st.tuples(st.just("upload")),
+        "endorse": st.tuples(st.just("endorse")),
+    }
+    chosen = [mix[k] for k in kinds] if kinds else list(mix.values())
+    return st.lists(st.one_of(*chosen), max_size=25)
+
+
+#: The ops that drive the generic fallback inside a planned plane:
+#: account policy a plan cannot freeze, plus the requests it governs.
+FALLBACK_OPS = ("post", "read", "list", "pin", "unpin", "integrity",
+                "upload", "endorse")
 
 
 def audit_bytes(w5: W5System) -> list:
@@ -115,9 +160,8 @@ def audit_bytes(w5: W5System) -> list:
 
 
 class TestPlannedPlaneIsByteIdentical:
-    @settings(max_examples=30, deadline=None)
-    @given(ops())
-    def test_identical_histories_identical_streams(self, seed_ops):
+    @staticmethod
+    def _assert_planes_agree(seed_ops) -> None:
         planned = build_deployment(planned=True)
         unplanned = build_deployment(planned=False)
         assert planned.provider.plans.enabled
@@ -131,6 +175,18 @@ class TestPlannedPlaneIsByteIdentical:
 
         assert audit_bytes(planned) == audit_bytes(unplanned)
 
+    @settings(max_examples=30, deadline=None)
+    @given(ops())
+    def test_identical_histories_identical_streams(self, seed_ops):
+        self._assert_planes_agree(seed_ops)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops(*FALLBACK_OPS))
+    def test_fallback_interleavings_identical(self, seed_ops):
+        """Pins and integrity policy never bump a plan epoch; every
+        request they govern must still match the reference plane."""
+        self._assert_planes_agree(seed_ops)
+
     @settings(max_examples=15, deadline=None)
     @given(ops())
     def test_batch_entrypoint_matches_sequential(self, seed_ops):
@@ -139,7 +195,8 @@ class TestPlannedPlaneIsByteIdentical:
         sequential = build_deployment(planned=True)
         # mutations first, then a burst of reads through both doors
         for op in seed_ops:
-            if op[0] in ("befriend", "unfriend", "toggle", "post"):
+            if op[0] in ("befriend", "unfriend", "toggle", "post", "pin",
+                         "unpin", "integrity", "upload", "endorse"):
                 apply_op(batched, op)
                 apply_op(sequential, op)
         session_b = batched.provider.sessions.login("alice", "pw").token
@@ -299,6 +356,31 @@ class TestPlanInvalidation:
         # path's refusal, not a stale plan's allow
         r = w5.client("bob").get("/app/blog/list", author="alice")
         assert r.status == 403
+
+    def test_batch_rechecks_account_policy_live(self):
+        """A shared batch plan outlives an integrity-policy edit (no
+        epoch moves), so handle_batch re-checks the account per
+        request: the reads behind the edit take the generic refusal."""
+        batched = build_deployment(planned=True)
+        sequential = build_deployment(planned=True)
+
+        def burst(w5):
+            token = w5.provider.sessions.login("bob", "pw").token
+            cookies = {"w5_session": token}
+            read = HttpRequest(method="GET", path="/app/blog/list",
+                               params={"author": "alice"}, cookies=cookies)
+            edit = HttpRequest(method="POST", path="/policy/integrity",
+                               params={"require_endorsed": True},
+                               cookies=cookies)
+            return [read, read, edit, read]
+
+        responses_b = batched.provider.handle_batch(burst(batched))
+        responses_s = [sequential.provider.handle_request(r)
+                       for r in burst(sequential)]
+        assert [r.status for r in responses_b] == [200, 200, 200, 403]
+        assert [(r.status, r.body) for r in responses_b] \
+            == [(r.status, r.body) for r in responses_s]
+        assert audit_bytes(batched) == audit_bytes(sequential)
 
     def test_journal_replay_restore_starts_plans_cold(self):
         import copy

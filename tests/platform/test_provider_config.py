@@ -16,13 +16,17 @@ from repro.platform import (Provider, ProviderConfig, restore_provider,
 
 class TestProviderConfig:
     def test_default_mirrors_historical_defaults(self):
+        """The default is the production plane: ``fast()``, plans on."""
         config = ProviderConfig()
+        assert config == ProviderConfig.fast()
         assert config.fast_request_plane
         assert config.recycle_processes
         assert config.partitioned_store
         assert config.incremental_persistence
         assert config.journal_compact_bytes == 1 << 20
-        assert not config.request_plans  # M12 is opt-in
+        assert config.request_plans
+        assert Provider().plans.enabled
+        assert W5System().provider.plans.enabled
 
     def test_fast_preset_enables_plans(self):
         assert ProviderConfig.fast().request_plans
@@ -36,17 +40,17 @@ class TestProviderConfig:
         assert not config.incremental_persistence
         assert not config.request_plans
 
-    def test_durable_preset_pins_persistence(self):
-        assert ProviderConfig.durable().incremental_persistence
-        assert ProviderConfig.durable(
-            request_plans=True).incremental_persistence
+    def test_two_presets(self):
+        presets = sorted(name for name, attr in vars(ProviderConfig).items()
+                         if isinstance(attr, classmethod))
+        assert presets == ["fast", "naive"]
 
     def test_frozen_with_replace(self):
         config = ProviderConfig()
         with pytest.raises(Exception):
-            config.request_plans = True
-        assert config.replace(request_plans=True).request_plans
-        assert not config.request_plans
+            config.request_plans = False
+        assert not config.replace(request_plans=False).request_plans
+        assert config == ProviderConfig.fast()
 
     def test_describe_round_trips_json(self):
         desc = ProviderConfig.fast().describe()
@@ -102,7 +106,7 @@ class TestMetricsAttach:
 
 class TestExplain:
     def test_explain_renders_whether_or_not_enabled(self):
-        for config in (ProviderConfig(), ProviderConfig.fast()):
+        for config in (ProviderConfig(request_plans=False), ProviderConfig()):
             w5 = W5System(name="x", config=config)
             w5.add_user("amy", apps=("blog",))
             desc = w5.provider.explain("blog", "amy")

@@ -234,7 +234,7 @@ class TestControlPlane:
             ShardedProvider(n_shards=2, engine="carrier-pigeon")
 
     def test_w5system_builds_sharded_provider(self):
-        w5 = W5System(config=ProviderConfig.sharded(3))
+        w5 = W5System(config=ProviderConfig(shards=3))
         assert isinstance(w5.provider, ShardedProvider)
         assert w5.provider.n_shards == 3
         a = w5.add_user("alice", apps=["blog"])
@@ -243,7 +243,7 @@ class TestControlPlane:
         w5.provider.shutdown()
 
     def test_sharded_preset_round_trips_describe(self):
-        cfg = ProviderConfig.sharded(4, shard_engine="fork")
+        cfg = ProviderConfig(shards=4, shard_engine="fork")
         desc = cfg.describe()
         assert desc["shards"] == 4
         assert desc["shard_engine"] == "fork"
@@ -254,7 +254,7 @@ class TestEngineChoice:
     def test_serial_is_the_default_at_every_shard_count(self):
         for n in (1, 2, 3):
             assert ShardedProvider(n_shards=n).engine_name == "serial"
-        w5 = W5System(config=ProviderConfig.sharded(3))
+        w5 = W5System(config=ProviderConfig(shards=3))
         assert w5.provider.engine_name == "serial"
 
     def test_two_engines(self):
@@ -324,5 +324,31 @@ class TestForkEngine:
             expected = before[list(clients).index(live)]
             assert (again.status, again.body) \
                 == (expected.status, expected.body)
+        finally:
+            sp.shutdown()
+
+    def test_dead_shard_mid_batch_leaves_no_stale_reply(self):
+        """A batch that hits a dead child still drains every shard it
+        already sent to, so the next call to a live shard reads its
+        own reply, not the batch's leftover one."""
+        users = [f"user{i}" for i in range(12)]
+        sp, clients = build_sharded(4, engine="fork", users=users)
+        try:
+            before = sp.handle_batch(_list_requests(clients))
+            assert all(r.status == 200 for r in before)
+            dead = sp._engine._pids[2]
+            os.kill(dead, signal.SIGKILL)
+            os.waitpid(dead, 0)
+            with pytest.raises(OSError):
+                sp.handle_batch(_list_requests(clients))
+            live = next(u for u in users if sp.shard_of_user(u) == 0)
+            again = clients[live].get("/app/blog/list", author=live)
+            expected = before[users.index(live)]
+            assert (again.status, again.body) \
+                == (expected.status, expected.body)
+            # the broken pipe is closed: later calls fail at once
+            with pytest.raises(OSError):
+                sp._engine.call(2, "health_report")
+            assert sp.health_report()["shards"][2]["state"] == "down"
         finally:
             sp.shutdown()
