@@ -143,7 +143,7 @@ def measure_cached_read_seconds(w5: W5System, n: int = 20_000,
 
 def measure_batch_seconds(w5: W5System, burst: int = 50,
                           loops: int = 40, repeat: int = 3) -> float:
-    """Seconds per request through ``handle_batch`` (shared lookups)."""
+    """Seconds per request through ``handle_batch``."""
     provider = w5.provider
     session = provider.sessions.login("user0", "pw").token
     requests = [HttpRequest(method="GET", path="/app/blog/read",

@@ -147,28 +147,34 @@ def run_parity(n_users: int = N_USERS, loops: int = 8,
     alternating order (plain, sharded, sharded, plain), then
     interleaved measurement slices; each mode's latency is its floor
     across both builds, so build-to-build layout luck and container
-    drift land on both modes alike.
+    drift land on both modes alike.  ``unsharded_noise_ratio`` is the
+    ratio of the two identical unsharded builds' floors, as M11/M12/
+    M14 record: a parity ratio inside it is noise, not the router.
     """
     plain_builds = [build_unsharded(n_users)]
     sharded_builds = [build_sharded(1, n_users=n_users),
                       build_sharded(1, n_users=n_users)]
     plain_builds.append(build_unsharded(n_users))
-    plain_s: list[float] = []
+    plain_by_build: tuple[list[float], list[float]] = ([], [])
     sharded_s: list[float] = []
     for _ in range(repeat):
-        for p, reads in plain_builds:
-            plain_s.append(measure_batch_seconds(p, reads,
-                                                 loops=loops, repeat=1))
+        for slices, (p, reads) in zip(plain_by_build, plain_builds):
+            slices.append(measure_batch_seconds(p, reads,
+                                                loops=loops, repeat=1))
         for sp, reads in sharded_builds:
             sharded_s.append(measure_batch_seconds(sp, reads,
                                                    loops=loops, repeat=1))
-    floor_plain = min(plain_s)
+    floor_a = min(plain_by_build[0])
+    floor_b = min(plain_by_build[1])
+    floor_plain = min(floor_a, floor_b)
     floor_sharded = min(sharded_s)
     return {
         "users": n_users,
         "unsharded_us": round(floor_plain * 1e6, 2),
         "one_shard_us": round(floor_sharded * 1e6, 2),
         "one_shard_ratio": round(floor_sharded / floor_plain, 3),
+        "unsharded_noise_ratio": round(max(floor_a, floor_b)
+                                       / floor_plain, 4),
         "unsharded_rps": round(1.0 / floor_plain, 1),
         "one_shard_rps": round(1.0 / floor_sharded, 1),
     }

@@ -62,11 +62,11 @@ except ImportError:  # script context (record.py)
 #: ``_note_response``) plus the M16 plumbing (one attribute load, a
 #: ctx=None argument, an empty skeleton list per shard): measured
 #: ~0.8us on the ~32us read, a 1.02-1.03x ratio — the serial
-#: engine's sub-batches keep the M12 shared-plan path, so routing is
-#: the only real work.  Because both paths share builds, the ratio is
-#: free of the cross-deployment layout spread; 1.05 leaves ~2x the
-#: measured cost as headroom while catching any real per-request work
-#: the disabled fleet plane might grow.
+#: engine's sub-batches run each shard's own ``handle_batch``, so
+#: routing is the only real work.  Because both paths share builds,
+#: the ratio is free of the cross-deployment layout spread; 1.05
+#: leaves ~2x the measured cost as headroom while catching any real
+#: per-request work the disabled fleet plane might grow.
 M16_MAX_DISABLED_OVERHEAD = 1.05
 #: Armed bound: the fleet premium (stitched minus shard-local floors)
 #: per cross-shard request.  The premium is context export + remote

@@ -309,6 +309,7 @@ def bench_m13(repeat: int) -> dict:
     scaling = run_scaling(repeat=repeat)
     guard = scaling_guard(scaling)
     guard["one_shard_ratio"] = parity["one_shard_ratio"]
+    guard["unsharded_noise_ratio"] = parity["unsharded_noise_ratio"]
     guard["max_one_shard_ratio"] = M13_MAX_ONE_SHARD_RATIO
     guard["regression"] = (
         guard["regression"]
@@ -505,7 +506,8 @@ def main(argv=None) -> int:
             scaling = payload["results"]["scaling"]
             print(f"M13 REGRESSION: 1-shard parity at "
                   f"{scaling['one_shard_ratio']}x "
-                  f"(bound: {scaling['max_one_shard_ratio']}x) or "
+                  f"(bound: {scaling['max_one_shard_ratio']}x; unsharded "
+                  f"build noise {scaling['unsharded_noise_ratio']}x) or "
                   f"shard scaling at {scaling['speedup_max_vs_1']}x "
                   f"(bound: {scaling['min_speedup']}x, "
                   f"{'multicore' if scaling['multicore_bar'] else 'degraded'}"

@@ -50,7 +50,8 @@ def scaling():
 def test_bench_m13_one_shard_matches_unsharded(parity):
     ratio = parity["one_shard_ratio"]
     print_table(
-        f"M13 parity ({parity['users']} users)",
+        f"M13 parity ({parity['users']} users, unsharded build noise "
+        f"{parity['unsharded_noise_ratio']}x)",
         ["plane", "latency µs", "throughput rps", "ratio"],
         [["unsharded fast()", parity["unsharded_us"],
           parity["unsharded_rps"], "1.0x"],

@@ -29,10 +29,6 @@ class BenchRow:
     stddev_s: float
     rounds: int
 
-    @property
-    def median_us(self) -> float:
-        return self.median_s * 1e6
-
     def human_median(self) -> str:
         s = self.median_s
         if s < 1e-6:

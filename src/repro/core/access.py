@@ -75,19 +75,6 @@ def readable_pairs(process: Process,
             for key in pairs}
 
 
-def writable_pairs(process: Process,
-                   pairs: "list[tuple[Label, Label]]",
-                   cache: Optional[FlowCache] = None,
-                   category: str = "write"
-                   ) -> dict[tuple[Label, Label], bool]:
-    """Batch form of :func:`writable` (see :func:`readable_pairs`)."""
-    if cache is not None:
-        return cache.writable_many(process, pairs, category=category)
-    return {key: can_write(key[0], key[1], process.slabel, process.ilabel,
-                           process.caps)
-            for key in pairs}
-
-
 def check_read(process: Process, slabel: Label, ilabel: Label,
                what: str, cache: Optional[FlowCache] = None,
                category: str = "read") -> None:

@@ -172,12 +172,6 @@ class Metrics:
             return {}
         return cache.stats()
 
-    def cache_hit_rate(self) -> float:
-        cache = self._planes.get("flow_cache")
-        if cache is None:
-            return 0.0
-        return cache.hit_rate()
-
     # -- request-plane observation ----------------------------------------
 
     def attach_request_plane(self, provider: "Provider") -> "Metrics":

@@ -41,6 +41,11 @@ stream, resource-charge totals, ``pad_scan_to`` padding — is
 byte-identical to the naive per-row engine, which stays available as
 ``partitioned=False`` (the benchmark baseline and the differential-test
 oracle in ``tests/db/test_partition_differential.py``).
+
+Scans (``select``/``count``) and the update/delete front half share one
+partition-visibility loop, :meth:`LabeledStore._visible_rows`; update
+and delete share one write-selection body per engine,
+:meth:`LabeledStore._writable_matches`.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import copy
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..core import access
 from ..kernel import Kernel, Process
@@ -393,8 +398,8 @@ class LabeledStore:
         touches_index = any(col in table.indexes for col in changes)
 
         touched: list[int] = []
-
-        def apply(row: Row) -> None:
+        for row in self._writable_matches(process, table, where,
+                                          predicate, plan, "update"):
             if touches_index:
                 table.index_remove(row)
             if flat_changes:
@@ -409,51 +414,14 @@ class LabeledStore:
                 table.index_add(row)
             self._note_row(table_name, row.row_id)
             touched.append(row.row_id)
-
-        updated = 0
-        if self.partitioned:
-            write_verdicts: dict[tuple[Label, Label], bool] = {}
-            for row in self._matching_rows_partitioned(
-                    process, table, where, predicate, plan):
-                pkey = row.partition_key()
-                allowed = write_verdicts.get(pkey)
-                if allowed is None:
-                    allowed = access.writable(
-                        process, row.slabel, row.ilabel,
-                        cache=self.kernel.flow_cache, category="db.write")
-                    write_verdicts[pkey] = allowed
-                if not allowed:
-                    self._refuse_write(process, row, table_name, "update")
-                apply(row)
-                updated += 1
-        else:
-            for row in self._candidate_rows(process, table, where):
-                if not access.readable(process, row.slabel, row.ilabel,
-                                       cache=self.kernel.flow_cache,
-                                       category="db.read"):
-                    continue
-                if not _matches(row, where, predicate):
-                    continue
-                try:
-                    access.check_write(process, row.slabel, row.ilabel,
-                                       f"{table_name}#{row.row_id}",
-                                       cache=self.kernel.flow_cache,
-                                       category="db.write")
-                except (SecrecyViolation, IntegrityViolation):
-                    self.kernel.audit.record(
-                        A.DB_QUERY, False, process.name,
-                        f"update {table_name}#{row.row_id} refused")
-                    raise
-                apply(row)
-                updated += 1
         if touched and self.on_mutate is not None:
             self.on_mutate("db.update", {
                 "table": table_name, "rows": sorted(touched),
                 "changes": changes})
         self.kernel.audit.record_lazy(A.DB_QUERY, True, process.name,
                                       "update %s (%d rows)",
-                                      (table_name, updated))
-        return updated
+                                      (table_name, len(touched)))
+        return len(touched)
 
     def delete(self, process: Process, table_name: str,
                where: Optional[dict[str, Any]] = None,
@@ -468,40 +436,8 @@ class LabeledStore:
                 predicate: Optional[Predicate],
                 plan: Optional[Any] = None) -> int:
         table = self.table(table_name)
-        doomed = []
-        if self.partitioned:
-            write_verdicts: dict[tuple[Label, Label], bool] = {}
-            for row in self._matching_rows_partitioned(
-                    process, table, where, predicate, plan):
-                pkey = row.partition_key()
-                allowed = write_verdicts.get(pkey)
-                if allowed is None:
-                    allowed = access.writable(
-                        process, row.slabel, row.ilabel,
-                        cache=self.kernel.flow_cache, category="db.write")
-                    write_verdicts[pkey] = allowed
-                if not allowed:
-                    self._refuse_write(process, row, table_name, "delete")
-                doomed.append(row)
-        else:
-            for row in self._candidate_rows(process, table, where):
-                if not access.readable(process, row.slabel, row.ilabel,
-                                       cache=self.kernel.flow_cache,
-                                       category="db.read"):
-                    continue
-                if not _matches(row, where, predicate):
-                    continue
-                try:
-                    access.check_write(process, row.slabel, row.ilabel,
-                                       f"{table_name}#{row.row_id}",
-                                       cache=self.kernel.flow_cache,
-                                       category="db.write")
-                except (SecrecyViolation, IntegrityViolation):
-                    self.kernel.audit.record(
-                        A.DB_QUERY, False, process.name,
-                        f"delete {table_name}#{row.row_id} refused")
-                    raise
-                doomed.append(row)
+        doomed = list(self._writable_matches(process, table, where,
+                                             predicate, plan, "delete"))
         for row in doomed:
             table.index_remove(row)
             del table.rows[row.row_id]
@@ -600,6 +536,52 @@ class LabeledStore:
         self._created_tables.discard(name)
         self._dirty_rows.pop(name, None)
         self._removed_rows.pop(name, None)
+
+    def _writable_matches(self, process: Process, table: Table,
+                          where: Optional[dict[str, Any]],
+                          predicate: Optional[Predicate],
+                          plan: Optional[Any], verb: str) -> Iterator[Row]:
+        """The update/delete front half: yield each visible matching row
+        in row-id order once it is checked writable; the first readable
+        but unwritable row is audited as a refused ``verb`` and raises.
+
+        A generator, so the caller's per-row work interleaves with the
+        checks exactly as one loop would.  The partitioned engine reads
+        visibility once per partition and memoizes the write verdict
+        per partition; the naive engine checks every candidate row."""
+        if self.partitioned:
+            write_verdicts: dict[tuple[Label, Label], bool] = {}
+            for row in self._visible_rows(process, table, where,
+                                          predicate, plan)[0]:
+                pkey = row.partition_key()
+                allowed = write_verdicts.get(pkey)
+                if allowed is None:
+                    allowed = access.writable(
+                        process, row.slabel, row.ilabel,
+                        cache=self.kernel.flow_cache, category="db.write")
+                    write_verdicts[pkey] = allowed
+                if not allowed:
+                    self._refuse_write(process, row, table.name, verb)
+                yield row
+            return
+        for row in self._candidate_rows(process, table, where):
+            if not access.readable(process, row.slabel, row.ilabel,
+                                   cache=self.kernel.flow_cache,
+                                   category="db.read"):
+                continue
+            if not _matches(row, where, predicate):
+                continue
+            try:
+                access.check_write(process, row.slabel, row.ilabel,
+                                   f"{table.name}#{row.row_id}",
+                                   cache=self.kernel.flow_cache,
+                                   category="db.write")
+            except (SecrecyViolation, IntegrityViolation):
+                self.kernel.audit.record(
+                    A.DB_QUERY, False, process.name,
+                    f"{verb} {table.name}#{row.row_id} refused")
+                raise
+            yield row
 
     def _refuse_write(self, process: Process, row: Row, table_name: str,
                       verb: str) -> None:
@@ -776,27 +758,57 @@ class LabeledStore:
         with a ``limit`` each partition is charged only up to the
         naive engine's stopping point (a bisect, not a walk).
         """
+        matches, idlists = self._visible_rows(process, table, where,
+                                              predicate, plan)
+        # The naive loop breaks after appending its limit-th match
+        # (with limit < 1 it still appends one row first), so rows past
+        # that match are never charged.
+        cutoff = None
+        if limit is not None and matches and len(matches) >= max(limit, 1):
+            matches = matches[:max(limit, 1)]
+            cutoff = matches[-1].row_id
         stats = self._stats
-        matches: list[Row] = []
-        rows = table.rows
-        idlists: Any
+        resources = self.kernel.resources
+        batch = self.batch_charges
+        items = [("db_queries", 1.0)]
+        scanned = 0
+        for ids in idlists:
+            n = len(ids) if cutoff is None else bisect_right(ids, cutoff)
+            if n:
+                if batch:
+                    items.append(("db_rows_scanned", n))
+                else:
+                    resources.charge(process, "db_rows_scanned", n)
+                    stats["batched_charges"] += 1
+            scanned += n
+        if batch:
+            resources.charge_many(process, items)
+            stats["batched_charges"] += len(items)
+        return matches, scanned
+
+    def _visible_rows(self, process: Process, table: Table,
+                      where: Optional[dict[str, Any]],
+                      predicate: Optional[Predicate],
+                      plan: Optional[Any]) -> tuple[list[Row], Any]:
+        """The one partition-visibility loop, shared by scans and the
+        write front half: visible matching rows in row-id order, plus
+        the candidate id lists per partition (what scans charge for).
+
+        One read verdict per partition, from one of three sources: a
+        plan's dense verdict row indexed by partition slot (M14, with
+        ``verdict_slots``), a plan's value-keyed verdict table (M12),
+        or the caller's flow cache.  The loop indexes the verdicts by
+        slot or by partition key alike."""
+        verdicts: Any
         if plan is not None and self.verdict_slots:
-            # Array-backed verdict slots (M14): one list index per
-            # partition in the inner loop instead of a dict probe.
             pkeys, slots, idlists, prechecked = \
                 self._partition_arrays(table, where)
-            w = None if prechecked else where
-            vrow = plan.read_verdict_row(process, pkeys, slots)
-            for i, ids in enumerate(idlists):
-                if not vrow[slots[i]]:
-                    stats["partitions_skipped"] += 1
-                    stats["rows_skipped"] += len(ids)
-                    continue
-                stats["partitions_visible"] += 1
-                for rid in ids:
-                    row = rows.get(rid)
-                    if row is not None and _matches(row, w, predicate):
-                        matches.append(row)
+            verdicts = plan.read_verdict_row(process, pkeys, slots)
+            keyed: Any = zip(slots, idlists)
+            if prechecked:
+                # every candidate id came from the one where-column's
+                # index bucket, so the rows need no re-check
+                where = None
         else:
             parts = self._partition_candidates(table, where)
             if plan is not None:
@@ -805,104 +817,16 @@ class LabeledStore:
                 # spawned still hits.
                 verdicts = plan.read_verdicts(process, parts)
             else:
-                verdicts = access.readable_pairs(process, list(parts),
-                                                 cache=self.kernel.flow_cache,
-                                                 category="db.read")
-            for pkey, ids in parts.items():
-                if not verdicts[pkey]:
-                    stats["partitions_skipped"] += 1
-                    stats["rows_skipped"] += len(ids)
-                    continue
-                stats["partitions_visible"] += 1
-                for rid in ids:
-                    row = rows.get(rid)
-                    if row is not None and _matches(row, where, predicate):
-                        matches.append(row)
+                verdicts = access.readable_pairs(
+                    process, list(parts), cache=self.kernel.flow_cache,
+                    category="db.read")
+            keyed = parts.items()
             idlists = parts.values()
-        matches.sort(key=lambda r: r.row_id)
-        resources = self.kernel.resources
-        batch = self.batch_charges
-        if limit is not None and matches:
-            # The naive loop breaks after appending its limit-th match
-            # (with limit < 1 it still appends one row first), so rows
-            # past that match are never charged.
-            cap = max(limit, 1)
-            if len(matches) >= cap:
-                matches = matches[:cap]
-                cutoff = matches[-1].row_id
-                scanned = 0
-                if batch:
-                    items = [("db_queries", 1.0)]
-                    for ids in idlists:
-                        n = bisect_right(ids, cutoff)
-                        if n:
-                            items.append(("db_rows_scanned", n))
-                        scanned += n
-                    resources.charge_many(process, items)
-                    stats["batched_charges"] += len(items)
-                    return matches, scanned
-                for ids in idlists:
-                    n = bisect_right(ids, cutoff)
-                    if n:
-                        resources.charge(process, "db_rows_scanned", n)
-                        stats["batched_charges"] += 1
-                    scanned += n
-                return matches, scanned
-        scanned = 0
-        if batch:
-            items = [("db_queries", 1.0)]
-            for ids in idlists:
-                n = len(ids)
-                if n:
-                    items.append(("db_rows_scanned", n))
-                scanned += n
-            resources.charge_many(process, items)
-            stats["batched_charges"] += len(items)
-            return matches, scanned
-        for ids in idlists:
-            if ids:
-                resources.charge(process, "db_rows_scanned", len(ids))
-                stats["batched_charges"] += 1
-            scanned += len(ids)
-        return matches, scanned
-
-    def _matching_rows_partitioned(self, process: Process, table: Table,
-                                   where: Optional[dict[str, Any]],
-                                   predicate: Optional[Predicate],
-                                   plan: Optional[Any] = None
-                                   ) -> list[Row]:
-        """Visible matching rows in row-id order, one read verdict per
-        partition (the update/delete front half — no scan charges, the
-        historical write-path behaviour)."""
         stats = self._stats
-        matches: list[Row] = []
         rows = table.rows
-        if plan is not None and self.verdict_slots:
-            pkeys, slots, idlists, prechecked = \
-                self._partition_arrays(table, where)
-            w = None if prechecked else where
-            vrow = plan.read_verdict_row(process, pkeys, slots)
-            for i, ids in enumerate(idlists):
-                if not vrow[slots[i]]:
-                    stats["partitions_skipped"] += 1
-                    stats["rows_skipped"] += len(ids)
-                    continue
-                stats["partitions_visible"] += 1
-                for rid in ids:
-                    row = rows.get(rid)
-                    if row is not None and _matches(row, w, predicate):
-                        matches.append(row)
-            matches.sort(key=lambda r: r.row_id)
-            return matches
-        parts = self._partition_candidates(table, where)
-        if plan is not None:
-            verdicts = plan.read_verdicts(process, parts)
-        else:
-            verdicts = access.readable_pairs(process, list(parts),
-                                             cache=self.kernel.flow_cache,
-                                             category="db.read")
-        for pkey, ids in parts.items():
-            if not verdicts[pkey]:
+        matches: list[Row] = []
+        for key, ids in keyed:
+            if not verdicts[key]:
                 stats["partitions_skipped"] += 1
                 stats["rows_skipped"] += len(ids)
                 continue
@@ -912,7 +836,7 @@ class LabeledStore:
                 if row is not None and _matches(row, where, predicate):
                     matches.append(row)
         matches.sort(key=lambda r: r.row_id)
-        return matches
+        return matches, idlists
 
     def _pad_scan(self, process: Process, table: Table,
                   where: Optional[dict[str, Any]], scanned: int) -> None:

@@ -120,9 +120,6 @@ class FederationFabric:
         self._mirrors[username].add(index)
         return link
 
-    def mirrors_of(self, username: str) -> set[int]:
-        return set(self._mirrors.get(username, ()))
-
     def link_between(self, i: int, j: int) -> ProviderLink:
         """The (lazily created) link between two providers.  The
         lower-indexed provider is side A, so conflict resolution is

@@ -193,17 +193,6 @@ class ProcessPool:
         return sum(len(bucket) for key, bucket in self._idle.items()
                    if name is None or key[0] == name)
 
-    def drain(self) -> int:
-        """Exit every idle process (test/shutdown convenience)."""
-        drained = 0
-        for bucket in self._idle.values():
-            for proc in bucket:
-                self._launch_keys.pop(proc.pid, None)
-                self.kernel.exit(proc)
-                drained += 1
-        self._idle.clear()
-        return drained
-
     def stats(self) -> dict[str, Any]:
         """Counters for metrics/benchmarks."""
         return {

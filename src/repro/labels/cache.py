@@ -373,29 +373,18 @@ class FlowCache:
         """
         if self.observer is not None:
             return self._observed(category, lambda: self._many(
-                subject, pairs, category, write=False))
-        return self._many(subject, pairs, category, write=False)
+                subject, pairs, category))
+        return self._many(subject, pairs, category)
 
-    def writable_many(self, subject: Subject,
-                      pairs: "list[tuple[Label, Label]]",
-                      category: str = "write"
-                      ) -> dict[tuple[Label, Label], bool]:
-        """Batched :meth:`writable` (same contract as
-        :meth:`readable_many`)."""
-        if self.observer is not None:
-            return self._observed(category, lambda: self._many(
-                subject, pairs, category, write=True))
-        return self._many(subject, pairs, category, write=True)
-
-    def _many(self, subject: Subject, pairs, category: str,
-              write: bool) -> dict[tuple[Label, Label], bool]:
-        decide = flow.can_write if write else flow.can_read
+    def _many(self, subject: Subject, pairs, category: str
+              ) -> dict[tuple[Label, Label], bool]:
+        decide = flow.can_read
         if not self.enabled:
             return {key: decide(key[0], key[1], subject.slabel,
                                 subject.ilabel, subject.caps)
                     for key in pairs}
         entry = self._subject_entry(subject)
-        table = entry.write if write else entry.read
+        table = entry.read
         out: dict[tuple[Label, Label], bool] = {}
         for key in pairs:
             cached = table.get(key)

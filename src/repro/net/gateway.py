@@ -17,6 +17,11 @@ declassifier).  Any residual tag means somebody else's secret would
 ride out in the response, and the gateway refuses with a 403 and a
 DENY audit record.
 
+The export check has one body, :meth:`Gateway.export_check`.  A
+request plan (M12) hands it the recipient's authority precomputed
+instead of asking the oracle; ``egress`` and ``egress_planned`` are
+the two entry points to one private egress body.
+
 The gateway also applies the client-side JavaScript policy (§3.5):
 ``JS_BLOCK`` strips scripts from exported HTML, ``JS_ALLOW`` passes
 them through (for deployments adopting MashupOS-style client support).
@@ -123,7 +128,9 @@ class Gateway:
     # ------------------------------------------------------------------
 
     def export_check(self, content_label: Label,
-                     recipient: Optional[str]) -> None:
+                     recipient: Optional[str],
+                     authority: Optional[CapabilitySet] = None,
+                     allow_detail: Optional[str] = None) -> None:
         """Raise :class:`ExportViolation` unless every secrecy tag on
         the content is within the recipient's export authority.
 
@@ -131,37 +138,41 @@ class Gateway:
         they hold no authority of their own, but an owner's *public*
         declassifier may open specific tags to everyone.
 
+        A request plan (M12) passes the recipient's ``authority`` and
+        the rendered ``allow_detail`` audit string precomputed; the
+        caller must have re-validated the plan's authority epoch.  Only
+        the oracle call and the detail render are skipped: counters,
+        audit records and the raised violation are the same either way.
+
         Timed by the caller's ``gateway.egress`` span on detail-sampled
         traces (the nested ``declass.authority`` span still shows the
         oracle's share there).
         """
-        if content_label.is_empty():
-            # Unlabeled content exits under any authority — skip the
-            # oracle entirely (the dominant case for static/provider
-            # routes).  The audit record is identical to the general
-            # allow path, so nothing downstream can tell.
-            self.exports_allowed += 1
+        # Unlabeled content exits under any authority: the oracle is
+        # skipped (the dominant case for static/provider routes).
+        if not content_label.is_empty():
+            if authority is None:
+                authority = self.authority_for(recipient)
+            residue = self.kernel.flow_cache.exportable_residue(
+                content_label, authority, category="net.export")
+            if not residue.is_empty():
+                self.exports_denied += 1
+                self.kernel.audit.record(
+                    A.EXPORT, False, "gateway",
+                    f"deny export to {recipient or 'anonymous'}: residual "
+                    f"tags {sorted(t.tag_id for t in residue)}")
+                raise ExportViolation(
+                    f"response for {recipient or 'anonymous'} carries "
+                    f"secrecy tags {sorted(t.tag_id for t in residue)} "
+                    f"outside their export authority")
+        self.exports_allowed += 1
+        if allow_detail is None:
             self.kernel.audit.record_lazy(
                 A.EXPORT, True, "gateway",
                 "allow export to %s", (recipient or "anonymous",))
-            return
-        authority = self.authority_for(recipient)
-        residue = self.kernel.flow_cache.exportable_residue(
-            content_label, authority, category="net.export")
-        if not residue.is_empty():
-            self.exports_denied += 1
-            self.kernel.audit.record(
-                A.EXPORT, False, "gateway",
-                f"deny export to {recipient or 'anonymous'}: residual tags "
-                f"{sorted(t.tag_id for t in residue)}")
-            raise ExportViolation(
-                f"response for {recipient or 'anonymous'} carries secrecy "
-                f"tags {sorted(t.tag_id for t in residue)} outside their "
-                f"export authority")
-        self.exports_allowed += 1
-        self.kernel.audit.record_lazy(
-            A.EXPORT, True, "gateway",
-            "allow export to %s", (recipient or "anonymous",))
+        else:
+            self.kernel.audit.record_lazy(A.EXPORT, True, "gateway",
+                                          allow_detail)
 
     def egress(self, response: HttpResponse, recipient: Optional[str],
                js_policy: Optional[str] = None) -> HttpResponse:
@@ -179,53 +190,7 @@ class Gateway:
         trace as an error (so the flight recorder keeps it), and the
         DENY audit record carries the trace id either way.
         """
-        with self.kernel.tracer.detail(
-                "gateway.egress", recipient=recipient or "anonymous") as sp:
-            try:
-                self.export_check(response.content_label, recipient)
-            except ExportViolation:
-                sp.fail("ExportViolation")
-                sp.annotate(denied=True)
-                return HttpResponse(status=403,
-                                    body={"error": "not authorized"},
-                                    content_label=Label.EMPTY)
-            return self._deliver(response, js_policy)
-
-    # ------------------------------------------------------------------
-    # planned egress (M12)
-    # ------------------------------------------------------------------
-
-    def export_check_planned(self, content_label: Label,
-                             recipient: Optional[str],
-                             authority: CapabilitySet,
-                             allow_detail: str) -> None:
-        """:meth:`export_check` with the recipient's authority (and the
-        allow-audit detail string) precomputed by a request plan.
-
-        Counters, audit records and the raised :class:`ExportViolation`
-        are identical to the live check; only the oracle call is
-        skipped.  The caller is responsible for having re-validated the
-        plan's authority epoch before handing the authority in.
-        """
-        if content_label.is_empty():
-            self.exports_allowed += 1
-            self.kernel.audit.record_lazy(A.EXPORT, True, "gateway",
-                                          allow_detail)
-            return
-        residue = self.kernel.flow_cache.exportable_residue(
-            content_label, authority, category="net.export")
-        if not residue.is_empty():
-            self.exports_denied += 1
-            self.kernel.audit.record(
-                A.EXPORT, False, "gateway",
-                f"deny export to {recipient or 'anonymous'}: residual tags "
-                f"{sorted(t.tag_id for t in residue)}")
-            raise ExportViolation(
-                f"response for {recipient or 'anonymous'} carries secrecy "
-                f"tags {sorted(t.tag_id for t in residue)} outside their "
-                f"export authority")
-        self.exports_allowed += 1
-        self.kernel.audit.record_lazy(A.EXPORT, True, "gateway", allow_detail)
+        return self._egress(response, recipient, js_policy, None, None)
 
     def egress_planned(self, response: HttpResponse,
                        recipient: Optional[str],
@@ -233,36 +198,39 @@ class Gateway:
                        authority: CapabilitySet,
                        allow_detail: str) -> HttpResponse:
         """:meth:`egress` driven by a request plan's precomputed export
-        authority.  Observable-identical to the live path."""
+        authority and allow-audit detail (M12); see
+        :meth:`export_check`."""
+        return self._egress(response, recipient, js_policy, authority,
+                            allow_detail)
+
+    def _egress(self, response: HttpResponse, recipient: Optional[str],
+                js_policy: Optional[str],
+                authority: Optional[CapabilitySet],
+                allow_detail: Optional[str]) -> HttpResponse:
+        """The one egress body behind both public entry points.
+
+        After the export check it applies the JS policy and re-stamps
+        the response unlabeled.  The re-stamp mutates in place: the
+        pre-export response is request-private (built by the app
+        wrapper moments earlier and never retained)."""
         with self.kernel.tracer.detail(
                 "gateway.egress", recipient=recipient or "anonymous") as sp:
             try:
-                self.export_check_planned(response.content_label, recipient,
-                                          authority, allow_detail)
+                self.export_check(response.content_label, recipient,
+                                  authority, allow_detail)
             except ExportViolation:
                 sp.fail("ExportViolation")
                 sp.annotate(denied=True)
                 return HttpResponse(status=403,
                                     body={"error": "not authorized"},
                                     content_label=Label.EMPTY)
-            return self._deliver(response, js_policy)
-
-    def _deliver(self, response: HttpResponse,
-                 js_policy: Optional[str]) -> HttpResponse:
-        """Post-export sanitization shared by both egress variants:
-        apply the JS policy and re-stamp the response unlabeled.
-
-        The re-stamp mutates in place: the pre-export response is
-        request-private (built by the app wrapper moments earlier and
-        never retained), so rebuilding the dataclass and copying its
-        header dicts bought nothing."""
-        effective_js = js_policy if js_policy in (JS_BLOCK, JS_ALLOW) \
-            else self.js_policy
-        body = response.body
-        if effective_js == JS_BLOCK and isinstance(body, str) \
-                and contains_javascript(body):
-            response.body = strip_javascript(body)
-            self.kernel.audit.record(A.EXPORT, True, "gateway",
-                                     "stripped javascript at perimeter")
-        response.content_label = Label.EMPTY
-        return response
+            effective_js = js_policy if js_policy in (JS_BLOCK, JS_ALLOW) \
+                else self.js_policy
+            body = response.body
+            if effective_js == JS_BLOCK and isinstance(body, str) \
+                    and contains_javascript(body):
+                response.body = strip_javascript(body)
+                self.kernel.audit.record(A.EXPORT, True, "gateway",
+                                         "stripped javascript at perimeter")
+            response.content_label = Label.EMPTY
+            return response

@@ -54,6 +54,15 @@ _MAX_STATES = 64
 _MAX_VERDICTS = 4096
 
 
+def _bypassed(account: "Optional[UserAccount]") -> bool:
+    """True when the viewer's account carries per-request policy a plan
+    cannot freeze: an integrity requirement (``require_endorsed``) or
+    audited version pins.  Neither bumps an epoch when edited, so the
+    generic path checks them live on every request."""
+    return account is not None and bool(account.require_endorsed
+                                        or account.audited_versions)
+
+
 class RequestPlan:
     """Everything the dispatch loop needs for one (app, viewer) pair."""
 
@@ -251,10 +260,8 @@ class PlanCache:
         """The plan for (app_ref, viewer), or None when this request
         must take the generic path.
 
-        Bypasses (None) happen when the viewer's account carries
-        per-request policy a plan cannot freeze: an integrity policy
-        (``require_endorsed``) or audited version pins — neither bumps
-        an epoch when edited, so they are checked live and excluded.
+        Bypasses (None) are decided by :func:`_bypassed`, checked on
+        every lookup, hit or miss.
         Raises the same :class:`~repro.platform.errors.NoSuchApp` the
         generic path would for an unknown ref.
         """
@@ -262,9 +269,7 @@ class PlanCache:
         key = (app_ref, viewer)
         plan = self._plans.get(key)
         if plan is not None and plan.is_current(provider):
-            account = plan.account
-            if account is not None and (account.require_endorsed
-                                        or account.audited_versions):
+            if _bypassed(plan.account):
                 self._stats["bypasses"] += 1
                 return None
             self._stats["hits"] += 1
@@ -291,8 +296,7 @@ class PlanCache:
         reg_epoch = p.apps.epoch
         app = p.apps.get(app_ref)  # NoSuchApp propagates, as unplanned
         account = p._accounts.get(viewer) if viewer is not None else None
-        if account is not None and (account.require_endorsed
-                                    or account.audited_versions):
+        if _bypassed(account):
             return None
         caps = p.launch_caps(app, viewer)
         authority = None

@@ -189,13 +189,6 @@ class Provider:
         self._dirty_accounts.clear()
         self._removed_accounts.clear()
 
-    def snapshot_incremental(self) -> dict[str, Any]:
-        """An O(dirty) delta snapshot (or a fresh full snapshot when
-        compaction triggers); see
-        :func:`repro.platform.persist.snapshot_provider`."""
-        from .persist import snapshot_provider
-        return snapshot_provider(self, incremental=True)
-
     def persistence_stats(self) -> dict[str, Any]:
         """Journal/compaction counters (empty when the journal is off)."""
         if self._durability is None:
@@ -784,20 +777,18 @@ class Provider:
         return self._dispatch(request, viewer, request.path_parts())
 
     def _dispatch(self, request: HttpRequest, viewer: Optional[str],
-                  parts: list[str],
-                  plan: Optional[RequestPlan] = None) -> HttpResponse:
+                  parts: list[str]) -> HttpResponse:
         """Route + egress for every admitted request.
 
         An ``/app`` request runs from its compiled plan when plans are
-        on (:meth:`handle_batch` may pass one in, already re-checked);
-        everything else, and every request the plan cache bypasses,
+        on; everything else, and every request the plan cache bypasses,
         takes :meth:`_route`.  A plan only replaces pure recomputation
         (app resolution, launch caps, pool key, export authority), so
         both ways emit the same audit events, charges and responses.
         """
+        plan = None
         try:
-            if (plan is None and self.plans.enabled and len(parts) >= 2
-                    and parts[0] == "app"):
+            if self.plans.enabled and len(parts) >= 2 and parts[0] == "app":
                 plan = self._lookup_plan(parts[1], viewer)
             if plan is None:
                 internal = self._route(request, viewer, parts)
@@ -854,49 +845,11 @@ class Provider:
 
     def handle_batch(self, requests: list[HttpRequest]
                      ) -> list[HttpResponse]:
-        """Handle N requests with one plan lookup per distinct
-        (app, viewer) pair — the M12 batch entrypoint.
-
-        Responses come back in request order and are byte-identical to
-        N separate :meth:`handle_request` calls.  Plan validity is
-        re-stamped per request (three integer compares), so a request
-        that edits policy mid-batch retires the shared plan for the
-        requests behind it; account policy that never bumps an epoch
-        (integrity requirement, audited pins) is re-checked live.  With
-        plans disabled or tracing enabled the batch degrades to the
-        ordinary per-request pipeline.
-        """
-        plans = self.plans
-        if not plans.enabled or self.kernel.tracer.enabled:
-            return [self.handle_request(r) for r in requests]
-        responses = []
-        shared: dict[tuple[str, Optional[str]], Optional[RequestPlan]] = {}
-        for request in requests:
-            session = self.gateway.authenticate(request)
-            viewer = session.username if session else None
-            if not self.gateway.admit(viewer):
-                responses.append(HttpResponse(
-                    status=429, body={"error": "slow down"}))
-                continue
-            parts = request.path_parts()
-            plan = None
-            if len(parts) >= 2 and parts[0] == "app":
-                key = (parts[1], viewer)
-                plan = shared.get(key)
-                if plan is not None and plan.is_current(self):
-                    account = plan.account
-                    if account is not None and (account.require_endorsed
-                                                or account.audited_versions):
-                        plan = None  # _dispatch re-resolves (and bypasses)
-                else:
-                    try:
-                        plan = shared[key] = plans.lookup(parts[1], viewer)
-                    except Exception:
-                        # resolution errors re-raise identically inside
-                        # _dispatch's exception ladder
-                        plan = None
-            responses.append(self._dispatch(request, viewer, parts, plan))
-        return responses
+        """Handle N requests in order: the batch entrypoint the sharded
+        router and the fork engine call per shard.  Each request takes
+        the full :meth:`handle_request` pipeline, plan lookup included,
+        so the responses are byte-identical to N separate calls."""
+        return [self.handle_request(r) for r in requests]
 
     def handle_batch_traced(self, requests: list[HttpRequest],
                             ctx: Optional[Any] = None

@@ -53,7 +53,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..errors import W5Error
 from ..kernel.audit import AuditEvent
-from ..net import SESSION_COOKIE, HttpRequest, HttpResponse
+from ..net import SESSION_COOKIE, HttpRequest, HttpResponse, error
 from ..obs import NULL_TRACER, FlightRecorder, LatencyHistogram, Tracer
 from ..obs.fleet import _worst
 from ..obs.trace import TraceContext
@@ -261,6 +261,11 @@ class _ForkEngine:
     control calls after the fork cross the pipe.  Requests pickle as
     plain dataclasses; responses come back as ``(status, body,
     headers, set_cookies)`` tuples (egress already stripped labels).
+
+    Requests to a shard whose child died fail closed: they answer 503
+    ``shard unavailable``, never an exception or another request's
+    reply.  Control calls (``call``, ``broadcast``, ``audit_events``)
+    still raise.
     """
 
     name = "fork"
@@ -318,7 +323,11 @@ class _ForkEngine:
 
     def request(self, shard: int, request: HttpRequest) -> HttpResponse:
         self._ensure_started()
-        return _rebuild_response(self._rpc(shard, ("request", request)))
+        try:
+            plain = self._rpc(shard, ("request", request))
+        except (EOFError, OSError):
+            return error(503, "shard unavailable")
+        return _rebuild_response(plain)
 
     def run_batches(self, groups: dict[int, list[HttpRequest]],
                     ctx: Optional[TraceContext] = None
@@ -326,24 +335,30 @@ class _ForkEngine:
                                dict[int, list[dict]]]:
         """Fan every group out, then collect the replies.
 
-        A failure is re-raised only after every shard already sent to
-        has answered, so no reply stays queued on a live shard's pipe
-        to be misread by its next call."""
+        A shard whose pipe fails (a dead child) answers 503 in each of
+        its slots, and every other shard is still sent to and received
+        from, so no reply stays queued on a live pipe to be misread by
+        its next call.  Any other failure is re-raised after that
+        drain."""
         self._ensure_started()
         sent = []
-        failure: Optional[BaseException] = None
+        down = []
         for shard, reqs in sorted(groups.items()):
             try:  # fan out first: children overlap
                 self._send(shard, ("batch", reqs, ctx))
-            except OSError as exc:
-                failure = exc
-                break
+            except OSError:
+                down.append(shard)
+                continue
             sent.append(shard)
         responses: dict[int, list[HttpResponse]] = {}
         skeletons: dict[int, list[dict]] = {}
+        failure: Optional[BaseException] = None
         for shard in sent:
             try:
                 plain, skels = self._recv(shard)
+            except (EOFError, OSError):
+                down.append(shard)
+                continue
             except Exception as exc:
                 failure = failure or exc
                 continue
@@ -351,6 +366,10 @@ class _ForkEngine:
             skeletons[shard] = skels
         if failure is not None:
             raise failure
+        for shard in down:
+            responses[shard] = [error(503, "shard unavailable")
+                                for _ in groups[shard]]
+            skeletons[shard] = []
         return responses, skeletons
 
     def call(self, shard: int, method: Any,
@@ -633,8 +652,8 @@ class ShardedProvider:
 
         Requests are grouped by owning shard *preserving per-shard
         arrival order*, the groups execute (concurrently under the fork
-        engine), each through the shard's own M12 ``handle_batch``
-        shared-plan path, and responses reassemble in request order —
+        engine), each through the shard's own ``handle_batch``, and
+        responses reassemble in request order —
         so the result is position-for-position identical to sequential
         dispatch.  A 1-shard serial deployment skips the router.
         """
@@ -790,11 +809,6 @@ class ShardedProvider:
     @property
     def usage_edges(self) -> list:
         return self.shards[0].usage_edges
-
-    def merged_audit(self) -> MergedAuditView:
-        """The deterministic ``(shard, seq)`` merge of every shard's
-        audit stream (also available as ``.kernel.audit``)."""
-        return self.kernel.audit
 
     def placement_report(self) -> dict[str, Any]:
         """Verify data placement against the ring: walk every shard's

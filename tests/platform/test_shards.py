@@ -328,9 +328,10 @@ class TestForkEngine:
             sp.shutdown()
 
     def test_dead_shard_mid_batch_leaves_no_stale_reply(self):
-        """A batch that hits a dead child still drains every shard it
-        already sent to, so the next call to a live shard reads its
-        own reply, not the batch's leftover one."""
+        """A batch that hits a dead child answers 503 in the dead
+        shard's slots and every live shard's own reply in the rest,
+        and drains every live pipe, so the next call to a live shard
+        reads its own reply, not the batch's leftover one."""
         users = [f"user{i}" for i in range(12)]
         sp, clients = build_sharded(4, engine="fork", users=users)
         try:
@@ -339,8 +340,21 @@ class TestForkEngine:
             dead = sp._engine._pids[2]
             os.kill(dead, signal.SIGKILL)
             os.waitpid(dead, 0)
-            with pytest.raises(OSError):
-                sp.handle_batch(_list_requests(clients))
+            after = sp.handle_batch(_list_requests(clients))
+            on_dead = [u for u in users if sp.shard_of_user(u) == 2]
+            assert on_dead
+            for u, expected, got in zip(users, before, after):
+                if u in on_dead:
+                    assert (got.status, got.body) \
+                        == (503, {"error": "shard unavailable"})
+                else:
+                    assert (got.status, got.body) \
+                        == (expected.status, expected.body)
+            # a single request for a dead shard's user fails closed too
+            solo = clients[on_dead[0]].get("/app/blog/list",
+                                           author=on_dead[0])
+            assert (solo.status, solo.body) \
+                == (503, {"error": "shard unavailable"})
             live = next(u for u in users if sp.shard_of_user(u) == 0)
             again = clients[live].get("/app/blog/list", author=live)
             expected = before[users.index(live)]
