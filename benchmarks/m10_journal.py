@@ -31,7 +31,7 @@ from __future__ import annotations
 import copy
 import json
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.apps import STANDARD_CATALOG, install_standard_apps
 from repro.net import ExternalClient
@@ -131,6 +131,32 @@ def _client(p: Provider, username: str) -> ExternalClient:
     return client
 
 
+def _mutation_workloads(n_users: int, incremental: bool
+                        ) -> dict[str, Callable[[], None]]:
+    """One build's ``mix`` and ``direct`` iterations (see
+    :func:`mutation_overhead`)."""
+    p = build_provider(n_users, incremental=incremental)
+    if incremental:
+        p._durability.checkpoint()
+    client = _client(p, "user00000")
+    count = iter(range(10_000_000))
+
+    def mix():
+        i = next(count)
+        u = f"user{i % n_users:05d}"
+        p.store_user_data(u, f"mix{i}.txt", "payload " * 8)
+        p.set_profile(u, seq=str(i))
+        client.get("/app/blog/post", title=f"t{i}", body="b" * 32)
+
+    def direct():
+        i = next(count)
+        u = f"user{i % n_users:05d}"
+        p.store_user_data(u, f"dir{i}.txt", "payload " * 8)
+        p.set_profile(u, seq=str(i))
+
+    return {"mix": mix, "direct": direct}
+
+
 def mutation_overhead(n_users: int = 200, n: int = 200,
                       repeat: int = 3) -> dict[str, Any]:
     """Journaled vs. no-journal mutation throughput, same workload.
@@ -140,42 +166,51 @@ def mutation_overhead(n_users: int = 200, n: int = 200,
     plane per iteration.  ``direct`` is the adversarial case — just
     the two direct API mutations, nothing to amortize the journal
     append against.
+
+    The house drift-resistant protocol (as M11-M14): four builds made
+    up front in alternating order (naive, journaled, journaled, naive),
+    one discarded warm-up slice each, then ``4 * repeat`` rounds that
+    run one slice of ``n // 4`` iterations of each workload on every
+    build in turn, so host drift lands on both modes alike.  A mode's
+    cost is its least slice over both of its builds.  The two naive
+    builds' floors bound the noise: ``naive_noise_ratio`` is the larger
+    of their ratios over the two workloads, and an overhead inside it
+    is noise, not the journal.
     """
-    results: dict[str, dict[str, float]] = {}
-    for mode, incremental in (("journaled", True), ("naive", False)):
-        p = build_provider(n_users, incremental=incremental)
-        if incremental:
-            p._durability.checkpoint()
-        client = _client(p, "user00000")
-        count = iter(range(10_000_000))
+    modes = (False, True, True, False)
+    builds = [_mutation_workloads(n_users, incremental)
+              for incremental in modes]
+    size = max(1, n // 4)
+    for build in builds:
+        for fn in build.values():
+            _best_seconds(fn, n=size, repeat=1)
+    slices: list[dict[str, list[float]]] = [
+        {"mix": [], "direct": []} for __ in builds]
+    for __ in range(4 * repeat):
+        for build, out in zip(builds, slices):
+            for name, fn in build.items():
+                out[name].append(_best_seconds(fn, n=size, repeat=1))
 
-        def mix():
-            i = next(count)
-            u = f"user{i % n_users:05d}"
-            p.store_user_data(u, f"mix{i}.txt", "payload " * 8)
-            p.set_profile(u, seq=str(i))
-            client.get("/app/blog/post", title=f"t{i}", body="b" * 32)
+    floors = [{name: min(times) for name, times in out.items()}
+              for out in slices]
 
-        def direct():
-            i = next(count)
-            u = f"user{i % n_users:05d}"
-            p.store_user_data(u, f"dir{i}.txt", "payload " * 8)
-            p.set_profile(u, seq=str(i))
+    def floor_us(incremental: bool, name: str) -> float:
+        return round(min(floor[name] for floor, mode in zip(floors, modes)
+                         if mode == incremental) * 1e6, 2)
 
-        results[mode] = {
-            "mix_us": round(
-                _best_seconds(mix, n=n, repeat=repeat) * 1e6, 2),
-            "direct_us": round(
-                _best_seconds(direct, n=n, repeat=repeat) * 1e6, 2),
-        }
-    journaled, naive = results["journaled"], results["naive"]
+    naive_a, naive_b = floors[0], floors[3]
+    noise = max(max(naive_a[name], naive_b[name])
+                / min(naive_a[name], naive_b[name]) for name in naive_a)
+    journaled_mix, naive_mix = floor_us(True, "mix"), floor_us(False, "mix")
+    journaled_direct = floor_us(True, "direct")
+    naive_direct = floor_us(False, "direct")
     return {
         "users": n_users,
-        "journaled_mix_us": journaled["mix_us"],
-        "naive_mix_us": naive["mix_us"],
-        "mix_overhead": round(journaled["mix_us"] / naive["mix_us"], 3),
-        "journaled_direct_us": journaled["direct_us"],
-        "naive_direct_us": naive["direct_us"],
-        "direct_overhead": round(
-            journaled["direct_us"] / naive["direct_us"], 3),
+        "journaled_mix_us": journaled_mix,
+        "naive_mix_us": naive_mix,
+        "mix_overhead": round(journaled_mix / naive_mix, 3),
+        "journaled_direct_us": journaled_direct,
+        "naive_direct_us": naive_direct,
+        "direct_overhead": round(journaled_direct / naive_direct, 3),
+        "naive_noise_ratio": round(noise, 4),
     }

@@ -261,22 +261,32 @@ class Journal:
         empty until the next append."""
         return JournalCursor(self.journal_id, self.epoch, self._seq)
 
+    def honors(self, cursor: Optional[JournalCursor]) -> bool:
+        """Whether ``cursor`` points into this journal's live history:
+        minted by this instance, in the current epoch, at a seq this
+        epoch has reached.  The one staleness rule every tailing
+        consumer shares; any other cursor points into history that no
+        longer exists as records."""
+        return cursor is not None and cursor.journal_id == self.journal_id \
+            and cursor.epoch == self.epoch and cursor.seq <= self._seq
+
     def tail_from(self, cursor: Optional[JournalCursor]
                   ) -> Optional[list[JournalRecord]]:
         """Every record appended after ``cursor``, or ``None`` if the
-        cursor is stale (different journal instance, an older epoch, or
-        a seq this epoch has not reached — any of which means the
-        history the cursor points into no longer exists as records and
-        the consumer must fall back to a full resync).
+        journal does not :meth:`honor <honors>` the cursor (the
+        consumer must then fall back to a full resync).
 
         Cost is O(records past the cursor): the per-record offset
-        index turns the tail into one byte-slice parse.  Records come
-        back with their journaled (JSON-coerced) payloads; consumers
-        that need live objects treat them as *pointers* into current
-        state, not as the state itself.
+        index turns the tail into one byte-slice parse, and every call
+        decodes its records afresh.  A consumer serving many cursors
+        on one journal should decode each record once and share it
+        (the federation delta engine keeps one decoded window per
+        link side).  Records come back with their journaled
+        (JSON-coerced) payloads; consumers that need live objects
+        treat them as *pointers* into current state, not as the state
+        itself.
         """
-        if cursor is None or cursor.journal_id != self.journal_id \
-                or cursor.epoch != self.epoch or cursor.seq > self._seq:
+        if not self.honors(cursor):
             return None
         if cursor.seq == self._seq:
             return []

@@ -397,9 +397,12 @@ class LabeledStore:
         # column's value may move buckets.
         touches_index = any(col in table.indexes for col in changes)
 
+        # Check every match before changing any: a refused row later
+        # in the scan must leave the table (and the journal) untouched.
+        matches = list(self._writable_matches(process, table, where,
+                                              predicate, plan, "update"))
         touched: list[int] = []
-        for row in self._writable_matches(process, table, where,
-                                          predicate, plan, "update"):
+        for row in matches:
             if touches_index:
                 table.index_remove(row)
             if flat_changes:
@@ -545,10 +548,12 @@ class LabeledStore:
         in row-id order once it is checked writable; the first readable
         but unwritable row is audited as a refused ``verb`` and raises.
 
-        A generator, so the caller's per-row work interleaves with the
-        checks exactly as one loop would.  The partitioned engine reads
-        visibility once per partition and memoizes the write verdict
-        per partition; the naive engine checks every candidate row."""
+        Callers materialize it before changing any row, so a refused
+        row leaves the whole statement without effect (no half-applied
+        update, no dirty rows, no journal record).  The partitioned
+        engine reads visibility once per partition and memoizes the
+        write verdict per partition; the naive engine checks every
+        candidate row."""
         if self.partitioned:
             write_verdicts: dict[tuple[Label, Label], bool] = {}
             for row in self._visible_rows(process, table, where,

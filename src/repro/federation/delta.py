@@ -18,12 +18,25 @@ state through the reference monitor before shipping.  A forged or
 stale record can therefore cause wasted work, never a policy bypass.
 
 **Cursor safety.**  A cursor is only honored by the exact journal
-instance and epoch it was minted from (``Journal.tail_from`` returns
-``None`` otherwise).  Compaction, operator checkpoints, and crash
+instance and epoch it was minted from (``Journal.honors``, the one
+staleness rule that ``Journal.tail_from``, the shared window and
+``cursor_lag`` all apply).  Compaction, operator checkpoints, and crash
 recovery all reset the journal; the next sync round detects the stale
 cursor and falls back to one full content-based reconciliation — the
 naive algorithm, byte-identical in outcome — then re-attaches a fresh
 cursor.  Safety never depends on the cursor being right.
+
+**One decoded window per link side.**  Every linked user holds a
+cursor on the same two journals, so a ``sync_all`` pass that tailed
+each cursor separately would decode every record once per user.
+Instead each side keeps one window of decoded records: a round
+extends it with only the records no earlier round decoded, and a
+user's tail is the slice past its cursor.  The window is trimmed to
+the oldest cursor the journal honors (recomputed only once the window
+has doubled since the last trim), so it holds about one pass of
+records; a stale window (reset or replaced journal) restarts, and
+:meth:`DeltaSync.invalidate` drops it.  A decoded record now serves
+every user, so its payload is read, never written.
 
 **Equivalence with the naive twin.**  Every divergence-prone corner of
 the naive reconciler is reproduced deliberately:
@@ -126,12 +139,39 @@ class _UserDelta:
         self.vanished[side].setdefault(table, set()).add(key)
 
 
+class _TailWindow:
+    """One link side's decoded journal tail, shared by every user.
+
+    ``records`` are the records after ``base``, in order, each decoded
+    exactly once; a user's tail is the slice past its cursor.
+    ``kept`` is the length right after the last trim: the window is
+    trimmed again only once it has doubled since (see
+    :meth:`DeltaSync._tail`)."""
+
+    def __init__(self, base: JournalCursor,
+                 records: list[JournalRecord]) -> None:
+        self.base = base
+        self.records = records
+        self.kept = len(records)
+
+    def head(self) -> JournalCursor:
+        return JournalCursor(self.base.journal_id, self.base.epoch,
+                             self.base.seq + len(self.records))
+
+
+#: A window of at most this many records is never trimmed, so a quiet
+#: link does not rescan its users' cursors on every round.
+_TRIM_FLOOR = 256
+
+
 class DeltaSync:
     """The per-link delta engine behind ``FederationConfig.delta_sync``."""
 
     def __init__(self, link: "ProviderLink") -> None:
         self.link = link
         self._users: dict[str, _UserDelta] = {}
+        self._windows: dict[str, Optional[_TailWindow]] = {
+            "a": None, "b": None}
         #: One envelope channel per direction; the name encodes the
         #: destination.  File digests cached here are invalidated by
         #: the destination's own journal tail (foreign writes).
@@ -155,8 +195,8 @@ class DeltaSync:
             self._stats["fallback_rounds"] += 1
             return link._naive_round(state)
         user = self._users.setdefault(state.username, _UserDelta())
-        tail_a = journal_a.tail_from(user.cursors["a"])
-        tail_b = journal_b.tail_from(user.cursors["b"])
+        tail_a = self._tail("a", journal_a, user.cursors["a"])
+        tail_b = self._tail("b", journal_b, user.cursors["b"])
         if tail_a is None or tail_b is None:
             # First sync, compaction, checkpoint, or crash recovery:
             # the cursor is stale, so run one full content-based
@@ -193,6 +233,7 @@ class DeltaSync:
             user.cursors["a"] = user.cursors["b"] = None
             user.books = {"a": _SideBooks(), "b": _SideBooks()}
             user.vanished = {"a": {}, "b": {}}
+        self._windows = {"a": None, "b": None}
         for channel in self.channels.values():
             channel.clear()
 
@@ -214,16 +255,52 @@ class DeltaSync:
             for side, provider in (("a", self.link.a), ("b", self.link.b)):
                 journal = self._journal(provider)
                 cursor = user.cursors[side]
-                if journal is None or cursor is None \
-                        or cursor.journal_id != journal.journal_id \
-                        or cursor.epoch != journal.epoch:
-                    entry[side] = None
-                else:
-                    entry[side] = journal.seq - cursor.seq
+                entry[side] = journal.seq - cursor.seq \
+                    if journal is not None and journal.honors(cursor) \
+                    else None
             lag[username] = entry
         return lag
 
     # -- internals ---------------------------------------------------------
+
+    def _tail(self, side: str, journal: Journal,
+              cursor: Optional[JournalCursor]
+              ) -> Optional[list[JournalRecord]]:
+        """The records past ``cursor`` on one side (``None`` when the
+        journal does not honor it), as a slice of the side's shared
+        window.
+
+        The window is extended with only the records no earlier round
+        decoded.  When it cannot serve the cursor (first use, a reset
+        or replaced journal), it restarts at the oldest cursor the
+        journal honors.  Once it has doubled since the last trim, it
+        drops the records every honored cursor has passed, so it holds
+        about one pass of records however many users share it."""
+        if not journal.honors(cursor):
+            return None
+        window = self._windows[side]
+        fresh = None
+        if window is not None and cursor.seq >= window.base.seq:
+            fresh = journal.tail_from(window.head())
+        if fresh is None:
+            base = self._oldest_cursor(side, journal)
+            window = self._windows[side] = _TailWindow(
+                base, journal.tail_from(base))
+        else:
+            window.records += fresh
+            if len(window.records) > max(2 * window.kept, _TRIM_FLOOR):
+                oldest = self._oldest_cursor(side, journal)
+                del window.records[:oldest.seq - window.base.seq]
+                window.base = oldest
+                window.kept = len(window.records)
+        return window.records[cursor.seq - window.base.seq:]
+
+    def _oldest_cursor(self, side: str, journal: Journal) -> JournalCursor:
+        """The least cursor on ``side`` that ``journal`` honors (the
+        caller's own cursor is among them, so one always exists)."""
+        return min((user.cursors[side] for user in self._users.values()
+                    if journal.honors(user.cursors[side])),
+                   key=lambda cursor: cursor.seq)
 
     @staticmethod
     def _journal(provider: "Provider") -> Optional[Journal]:
@@ -305,14 +382,16 @@ class DeltaSync:
         Tail payloads are treated strictly as pointers: rows are
         re-resolved against the side's *live* table so a row created
         and deleted inside the window never ships, and an updated row
-        ships its current content exactly once.
+        ships its current content exactly once.  The records are the
+        side's shared window, so ``record.data`` is only ever read.
         """
         username = state.username
         provider = self._provider(side)
         books = user.books[side]
         into_side = self._channel_into(side)
-        tag_id = provider.account(username).data_tag.tag_id
-        user_label = [tag_id]
+        data_tag = provider.account(username).data_tag
+        tag_id = data_tag.tag_id
+        user_slabel = Label([data_tag])
         home = f"/users/{username}/"
         for record in tail:
             op = record.op
@@ -330,8 +409,10 @@ class DeltaSync:
                 row = self._live_row(provider, table_name, data["row_id"])
                 if row is None:
                     continue  # born and deleted inside the window
+                if not {t.tag_id for t in row.slabel} <= {tag_id}:
+                    continue  # the record's label was not the row's
                 books.track(table_name, row.row_id, _row_key(row.values))
-                if data["slabel"] == user_label:
+                if row.slabel == user_slabel:
                     candidates.setdefault(table_name, set()).add(row.row_id)
             elif op == "db.update":
                 table_name = data["table"]
@@ -349,8 +430,7 @@ class DeltaSync:
                         if gone is not None:
                             user.mark_vanished(side, table_name, gone)
                         books.track(table_name, row_id, new_key)
-                    if row.slabel == Label(
-                            [provider.account(username).data_tag]):
+                    if row.slabel == user_slabel:
                         candidates.setdefault(table_name, set()).add(row_id)
             elif op in ("db.delete", "db.purge"):
                 table_name = data["table"]

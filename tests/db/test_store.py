@@ -4,9 +4,13 @@ import pytest
 
 from repro.db import (DbView, LabeledStore, NoSuchRow, NoSuchTable,
                       SchemaError, TableExists)
+from repro.core.journal import Journal
 from repro.kernel import Kernel
 from repro.labels import (CapabilitySet, IntegrityViolation, Label,
-                          SecrecyViolation, minus, plus)
+                          SecrecyViolation, WriteIntegrityViolation, minus,
+                          plus)
+from repro.platform import (Provider, ProviderConfig, recover_provider,
+                            snapshot_provider)
 
 
 @pytest.fixture()
@@ -229,6 +233,34 @@ class TestWriteRules:
         store.insert(owner, "t", {"v": "orig"}, ilabel=Label([w]))
         editor = kernel.spawn_trusted("editor", caps=CapabilitySet([plus(w)]))
         assert store.update(editor, "t", changes={"v": "edited"}) == 1
+
+
+class TestUpdateIsAllOrNothing:
+    """A refused row anywhere in an update's matches leaves every row,
+    the dirty set and the journal as they were, on both engines."""
+
+    @pytest.mark.parametrize("partitioned", [True, False])
+    def test_refused_row_undoes_nothing_it_follows(self, partitioned):
+        p = Provider(name="prod", config=ProviderConfig(
+            partitioned_store=partitioned))
+        kernel = p.kernel
+        admin = kernel.spawn_trusted("admin")
+        w = kernel.create_tag(admin, kind="integrity", purpose="w")
+        owner = kernel.spawn_trusted("owner", caps=CapabilitySet([plus(w)]))
+        p.db.create_table(owner, "t")
+        p.db.insert(owner, "t", {"v": "orig"})
+        p.db.insert(owner, "t", {"v": "orig"}, ilabel=Label([w]))
+        manager = p._durability
+        manager.checkpoint()
+        base = manager.base
+        vandal = kernel.spawn_trusted("vandal")
+        with pytest.raises(WriteIntegrityViolation):
+            p.db.update(vandal, "t", changes={"v": "defaced"})
+        assert [r["v"] for r in p.db.select(admin, "t")] == ["orig", "orig"]
+        records, __ = Journal.recover(manager.journal.raw_bytes())
+        assert "db.update" not in [r.op for r in records]
+        recovered, __ = recover_provider(base, manager.journal.raw_bytes())
+        assert snapshot_provider(recovered) == snapshot_provider(p)
 
 
 class TestDbView:
